@@ -224,83 +224,70 @@ std::vector<bench::Json> global_engine_report() {
   return runs;
 }
 
-// EXP-S1d — full-verdict throughput: the fused engine (one classify pass,
-// one successor pass building the ¬I CSR, then FB/FWBW parallel SCC and
-// CSR-resident tiled fixpoints) against the unfused pass-per-question
-// baseline (independent sweeps plus a serial Tarjan over the implicit
-// graph), across a thread sweep. Every run's verdict is checked against
-// the serial unfused baseline; a mismatch aborts the bench.
+// EXP-S1d — full-verdict throughput of the global engine (one classify
+// pass, one successor pass building the ¬I CSR, then the ¬I verdict tail:
+// peel, residue sweep, residue SCC) across a thread sweep. Every run's
+// result — witness cycle included — is checked against the 1-thread run; a
+// mismatch aborts the bench. Agreement with an independent brute-force
+// oracle is tested at small K in tests/test_differential.cpp.
 // RINGSTAB_BENCH_SMOKE=1 shrinks K for the CI smoke job.
 std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
                                              bool smoke) {
   bench::header(
-      "EXP-S1d", "fused full-verdict engine vs unfused baseline",
-      "a full verdict (closure, deadlock census, livelock SCCs, weak "
-      "convergence, recovery bound) decodes the state space exactly twice "
-      "in the fused engine; the unfused baseline re-decodes it for every "
-      "question and runs livelock detection as a serial Tarjan");
+      "EXP-S1d", "full-verdict engine thread sweep",
+      "a full verdict (closure, deadlock census, livelock, weak convergence, "
+      "recovery bound) decodes the state space exactly twice, then answers "
+      "the rest from one out-degree peel of the ¬I CSR");
 
   const double n = static_cast<double>(ring.num_states());
-  auto run_engine = [&](std::size_t threads, bool fused,
-                        GlobalCheckResult& out) {
+  auto run_engine = [&](std::size_t threads, GlobalCheckResult& out) {
     return ms_of([&] {
-      const GlobalChecker checker(ring, threads, fused);
+      const GlobalChecker checker(ring, threads);
       out = checker.check_all();
       benchmark::DoNotOptimize(&out);
     });
   };
-  // Witness cycles are engine-specific (each engine is deterministic, but
-  // they anchor cycles differently); every verdict field must agree.
-  auto same_verdict = [](const GlobalCheckResult& a,
-                         const GlobalCheckResult& b) {
+  auto same_result = [](const GlobalCheckResult& a,
+                        const GlobalCheckResult& b) {
     return a.num_deadlocks_outside_i == b.num_deadlocks_outside_i &&
            a.deadlock_samples == b.deadlock_samples &&
-           a.has_livelock == b.has_livelock && a.closure_ok == b.closure_ok &&
+           a.has_livelock == b.has_livelock &&
+           a.livelock_cycle == b.livelock_cycle &&
+           a.closure_ok == b.closure_ok &&
            a.closure_violation == b.closure_violation &&
            a.weakly_converges == b.weakly_converges &&
            a.max_recovery_steps == b.max_recovery_steps;
   };
 
   GlobalCheckResult base;
-  const double base_ms = run_engine(1, /*fused=*/false, base);
-  const double base_sps = n / (base_ms / 1000.0);
-  if (!(base_sps > 0.0))
-    throw ModelError("EXP-S1d: zero full-verdict throughput");
-
   std::vector<bench::Json> runs;
-  auto record = [&](const char* engine, std::size_t threads, double ms,
-                    const GlobalCheckResult& res) {
-    if (!same_verdict(res, base))
-      throw ModelError(cat("EXP-S1d: ", engine, " engine at ", threads,
-                           " thread(s) disagrees with the serial baseline"));
+  double base_sps = 0.0;
+  for (const std::size_t t : {1u, 2u, 4u, 8u}) {
+    GlobalCheckResult res;
+    const double ms = run_engine(t, t == 1 ? base : res);
+    if (t == 1) {
+      base_sps = n / (ms / 1000.0);
+      if (!(base_sps > 0.0))
+        throw ModelError("EXP-S1d: zero full-verdict throughput");
+    } else if (!same_result(res, base)) {
+      throw ModelError(cat("EXP-S1d: the run at ", t,
+                           " thread(s) disagrees with the 1-thread run"));
+    }
     const double sps = n / (ms / 1000.0);
-    std::cout << "  full verdict K=" << ring.ring_size() << " " << engine
-              << ", " << threads << " thread(s): " << ms << " ms, "
+    std::cout << "  full verdict K=" << ring.ring_size() << ", " << t
+              << " thread(s): " << ms << " ms, "
               << static_cast<std::uint64_t>(sps) << " states/sec, "
-              << sps / base_sps << "x vs serial unfused\n";
+              << sps / base_sps << "x vs 1 thread\n";
     runs.push_back(bench::Json()
-                       .put("engine", engine)
-                       .put("threads", threads)
+                       .put("threads", t)
                        .put("ms", ms)
                        .put("states_per_sec", sps)
-                       .put("speedup_vs_serial_unfused", sps / base_sps));
-  };
-  record("unfused", 1, base_ms, base);
-  const std::vector<std::size_t> sweep = {1, 2, 4, 8};
-  for (const std::size_t t : sweep) {
-    GlobalCheckResult res;
-    const double ms = run_engine(t, /*fused=*/true, res);
-    record("fused", t, ms, res);
-  }
-  for (const std::size_t t : sweep) {
-    if (t == 1) continue;  // the baseline row above
-    GlobalCheckResult res;
-    const double ms = run_engine(t, /*fused=*/false, res);
-    record("unfused", t, ms, res);
+                       .put("speedup_vs_1", sps / base_sps));
   }
   bench::note(cat(
-      "verdicts (deadlock census + samples, livelock, closure pair, weak "
-      "convergence, recovery bound) are asserted bit-identical across all ",
+      "results (deadlock census + samples, livelock witness, closure pair, "
+      "weak convergence, recovery bound) are asserted bit-identical across "
+      "all ",
       runs.size(), " runs; speedups are bounded by physical cores (",
       resolve_threads(0), " hardware lane(s) here)",
       smoke ? " — SMOKE RUN, tiny K" : ""));
@@ -332,7 +319,7 @@ void report_all() {
           .put("full_verdict_num_states", ring.num_states())
           .put("full_verdict_smoke", smoke)
           .put("full_verdict_sweep",
-               "check_all: fused two-pass + parallel SCC vs unfused baseline")
+               "check_all: two decode passes + the ¬I verdict tail")
           .put("full_verdict_runs", verdict_runs));
   symmetry_report();
 }

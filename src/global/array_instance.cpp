@@ -1,7 +1,6 @@
 #include "global/array_instance.hpp"
 
 #include "core/fmt.hpp"
-#include "graph/scc.hpp"
 
 namespace ringstab {
 
@@ -88,29 +87,7 @@ std::string ArrayInstance::brief(GlobalStateId s) const {
 }
 
 ArrayCheckResult check_array(const ArrayInstance& inst) {
-  ArrayCheckResult res;
-  const GlobalStateId n = inst.num_states();
-  if (n > (GlobalStateId{1} << 22))
-    throw CapacityError("array too large for explicit-digraph checking");
-
-  Digraph g(static_cast<std::size_t>(n));
-  std::vector<bool> outside(static_cast<std::size_t>(n), false);
-  std::vector<ArrayInstance::Step> succ;
-  for (GlobalStateId s = 0; s < n; ++s) {
-    outside[static_cast<std::size_t>(s)] = !inst.in_invariant(s);
-    inst.successors(s, succ);
-    if (succ.empty() && outside[static_cast<std::size_t>(s)])
-      ++res.num_deadlocks_outside_i;
-    for (const auto& step : succ)
-      g.add_arc(static_cast<VertexId>(s), static_cast<VertexId>(step.target));
-  }
-  // Livelock: a cycle entirely outside I.
-  const Digraph restricted = g.induced(outside);
-  res.has_livelock = any_marked_on_cycle(restricted, outside);
-  // Termination: no cycle anywhere in the transition graph.
-  std::vector<bool> all(static_cast<std::size_t>(n), true);
-  res.terminates = !any_marked_on_cycle(g, all);
-  return res;
+  return check_explicit(inst);
 }
 
 }  // namespace ringstab

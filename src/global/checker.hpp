@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "global/ring_instance.hpp"
-#include "graph/parallel_scc.hpp"
+#include "graph/peel.hpp"
 #include "parallel/bitset.hpp"
 
 namespace ringstab {
@@ -42,50 +42,38 @@ struct GlobalCheckResult {
 
 /// Exhaustive checker over |D|^K global states.
 ///
-/// Two engines share this interface:
+/// The state space is decoded exactly twice per full verdict. Pass 1
+/// classifies every state (invariant membership + deadlock census) in one
+/// cursor sweep. Pass 2 walks successors once, recording the first closure
+/// violation of I and materializing the ¬I transition graph as a compact
+/// CSR over ¬I *ranks* (popcount-indexed into the invariant mask) plus a
+/// steps-into-I bitset. Livelock, weak convergence and the recovery bound
+/// then come out of the shared ¬I verdict tail (graph/peel.hpp): one
+/// out-degree peel of the CSR, a backward sweep over its residue, and the
+/// FB/FWBW SCC on the residue only. Each stage runs once and is cached, so
+/// after find_livelock() the weak-convergence and recovery queries are
+/// reads.
 ///
-///  * The **fused** engine (default) decodes the state space exactly twice
-///    per full verdict. Pass 1 classifies every state (invariant membership
-///    + deadlock census) in one cursor sweep. Pass 2 walks successors once,
-///    checking closure for I-states and materializing the ¬I transition
-///    graph as a compact CSR over ¬I *ranks* (popcount-indexed into the
-///    invariant mask). Everything downstream — livelock SCCs (FB/FWBW
-///    parallel SCC, graph/parallel_scc.hpp), the weak-convergence backward
-///    fixpoint, and the recovery layering — then runs on the CSR with no
-///    further decoding, sweeping the packed bitsets in 64-byte tiles that
-///    skip fully-settled words.
-///
-///  * The **unfused** engine (`fused = false`) is the original pass-per-
-///    question layout: independent sweeps per predicate and a serial
-///    iterative Tarjan over the implicit graph for livelocks (run once and
-///    cached, serving both find_livelock() and livelock_states()). It is
-///    kept as the cross-validation baseline for tests and benchmarks.
-///
-/// Both engines produce identical verdicts, counts, samples, and step
-/// bounds at every thread count: per-chunk partial results are merged in
-/// ascending chunk order over a thread-count-independent chunk partition,
-/// and the SCC labeling is canonical (smallest member). Witness *cycles*
-/// are deterministic per engine (and valid in both), but the two engines
-/// may select different cycles through the same livelocked components.
+/// Verdicts, counts, samples, witness cycles and step bounds are identical
+/// at every thread count: per-chunk partial results are merged in ascending
+/// chunk order over a thread-count-independent chunk partition, the peel is
+/// a unique fixpoint, and the SCC labeling is canonical (smallest member).
 ///
 /// `num_threads > 1` runs the sweeps as chunked scans on the shared pool.
 /// A checker instance caches its sweeps and is not safe for concurrent use.
 class GlobalChecker {
  public:
-  explicit GlobalChecker(const RingInstance& ring, std::size_t num_threads = 1,
-                         bool fused = true)
-      : ring_(&ring),
-        num_threads_(num_threads == 0 ? 1 : num_threads),
-        fused_(fused) {}
+  explicit GlobalChecker(const RingInstance& ring, std::size_t num_threads = 1)
+      : ring_(&ring), num_threads_(num_threads == 0 ? 1 : num_threads) {}
 
   std::size_t num_threads() const { return num_threads_; }
-  bool fused() const { return fused_; }
 
   /// The packed I(K) membership mask, built (in parallel) on first use and
   /// cached for the checker's lifetime.
   const PackedBitset& invariant_mask() const;
 
-  /// Count (and sample up to `max_samples`) global deadlocks outside I.
+  /// Count (and sample the first min(`max_samples`, 8), ascending) global
+  /// deadlocks outside I.
   std::size_t count_deadlocks_outside_invariant(
       std::vector<GlobalStateId>* samples = nullptr,
       std::size_t max_samples = 8) const;
@@ -97,13 +85,13 @@ class GlobalChecker {
   /// ¬I SCCs), ascending.
   std::vector<GlobalStateId> livelock_states() const;
 
-  /// Closure of I (Section 2.3): no transition leaves I.
+  /// Closure of I (Section 2.3): no transition leaves I. The violation
+  /// reported is the one with the smallest source state.
   bool check_closure(
       std::optional<std::pair<GlobalStateId, GlobalStateId>>* violation =
           nullptr) const;
 
-  /// Every global state can reach I (weak convergence), by backward
-  /// fixpoint.
+  /// Every global state can reach I (weak convergence).
   bool check_weak_convergence() const;
 
   /// Longest path to I in the (acyclic, deadlock-free) ¬I subgraph.
@@ -116,30 +104,22 @@ class GlobalChecker {
  private:
   static constexpr std::size_t kMaxCachedSamples = 8;
 
-  // Fused pipeline stages, each cached after the first call.
+  // Pipeline stages, each cached after the first call.
   void ensure_masks() const;  // pass 1: invariant mask + deadlock census
   void ensure_graph() const;  // pass 2: closure + ¬I CSR + rank tables
-  void ensure_scc() const;    // FB/FWBW SCC over the cached CSR
+  const VerdictTail& tail() const;  // peel / reach / residue SCC
   std::uint32_t rank_of(GlobalStateId s) const;
-
-  // Unfused: one full Tarjan serves both livelock queries.
-  void ensure_tarjan() const;
-
-  std::size_t fused_weak_convergence() const;  // returns |reachers| in ¬I
-  std::size_t fused_recovery_steps() const;
 
   const RingInstance* ring_;
   std::size_t num_threads_;
-  bool fused_;
 
-  mutable PackedBitset inv_mask_;  // empty until first use
-
-  // Fused pass 1 products.
+  // Pass 1 products.
   mutable bool census_done_ = false;
+  mutable PackedBitset inv_mask_;
   mutable std::size_t deadlock_count_ = 0;
   mutable std::vector<GlobalStateId> deadlock_samples_;  // first 8, ascending
 
-  // Fused pass 2 products. The CSR is over ¬I ranks: state s outside I has
+  // Pass 2 products. The CSR is over ¬I ranks: state s outside I has
   // rank = #{t < s : t outside I}; word_rank_ holds the per-word prefix so
   // rank_of() is one popcount. Edges into I are dropped from the CSR and
   // recorded in to_inv_ instead.
@@ -148,17 +128,10 @@ class GlobalChecker {
   mutable PackedBitset to_inv_;
   mutable std::vector<std::uint64_t> word_rank_;
   mutable std::vector<GlobalStateId> ni_ids_;  // rank -> global state id
-  mutable bool closure_ok_ = true;
   mutable std::optional<std::pair<GlobalStateId, GlobalStateId>>
       closure_violation_;
 
-  mutable bool scc_done_ = false;
-  mutable ParallelSccResult scc_;
-
-  // Unfused Tarjan cache.
-  mutable bool tarjan_done_ = false;
-  mutable std::optional<std::vector<GlobalStateId>> tarjan_witness_;
-  mutable std::vector<GlobalStateId> tarjan_states_;  // ascending
+  mutable std::optional<VerdictTail> tail_;
 };
 
 /// Convenience: does p(K) strongly self-stabilize to I(K)?

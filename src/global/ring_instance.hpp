@@ -144,8 +144,8 @@ class RingInstance {
     /// state is read once and its flag byte settles both bits (an enabled
     /// process kills kClassDeadlock, a non-legit one kills kClassInvariant),
     /// with an early exit once neither bit survives. This is what lets the
-    /// fused census pass replace the separate in_invariant()/is_deadlock()
-    /// sweeps without touching a state twice.
+    /// checker's census pass answer both in_invariant() and is_deadlock()
+    /// without touching a state twice.
     std::uint8_t classify() const {
       std::uint8_t out = kClassInvariant | kClassDeadlock;
       for (std::size_t i = 0; i < digits_.size() && out; ++i) {

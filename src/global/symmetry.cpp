@@ -5,31 +5,33 @@
 
 #include "core/fmt.hpp"
 #include "global/necklace.hpp"
-#include "graph/parallel_scc.hpp"
+#include "graph/peel.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ringstab {
 namespace {
 
-constexpr std::uint8_t kInInv = 1;
-constexpr std::uint8_t kDeadlock = 2;
 constexpr std::uint32_t kUnvisited = 0xffffffffu;
 
 /// Dense view of the rotation quotient: necklaces in ascending canonical-id
-/// order plus their CSR transition graph (targets canonicalized to ranks,
-/// deduplicated and sorted per source).
+/// order, their flags, and the ¬I transition graph as a CSR over ¬I ranks
+/// (the i-th necklace outside I has rank i). Targets are canonicalized,
+/// deduplicated and kept in ascending order per source; edges into I are
+/// dropped from the CSR and recorded in to_inv instead.
 struct Quotient {
   std::vector<GlobalStateId> ids;
-  std::vector<std::uint32_t> orbit;
-  std::vector<std::uint8_t> flags;  // kInInv | kDeadlock per rank
-  std::vector<std::uint64_t> row;   // CSR offsets, size ids.size() + 1
-  std::vector<std::uint32_t> col;   // CSR targets (ranks)
+  std::vector<std::uint8_t> flags;  // 1 iff the necklace is in I
+  std::vector<std::uint32_t> ni_of;  // ¬I rank -> necklace rank
+  CsrGraph csr;
+  PackedBitset to_inv;
+  /// The transition leaving I from the smallest violating necklace.
+  std::optional<std::pair<GlobalStateId, GlobalStateId>> escape;
 
   std::uint32_t size() const {
     return static_cast<std::uint32_t>(ids.size());
   }
-  bool in_inv(std::uint32_t r) const { return flags[r] & kInInv; }
+  bool in_inv(std::uint32_t r) const { return flags[r] != 0; }
 };
 
 /// Chunk grain over the necklace prefix-slot space: a pure function of the
@@ -43,7 +45,6 @@ struct CensusBuild {
   NecklaceCensus census;
   // Filled only when `collect`:
   std::vector<GlobalStateId> ids;
-  std::vector<std::uint32_t> orbit;
   std::vector<std::uint8_t> flags;
 };
 
@@ -65,7 +66,6 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
     std::uint64_t deadlocks = 0;
     std::vector<GlobalStateId> reps;
     std::vector<GlobalStateId> ids;
-    std::vector<std::uint32_t> orbit;
     std::vector<std::uint8_t> flags;
   };
   std::vector<Chunk> tally(chunks);
@@ -99,9 +99,7 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
       }
       if (collect) {
         t.ids.push_back(id);
-        t.orbit.push_back(orbit);
-        t.flags.push_back(static_cast<std::uint8_t>((in_inv ? kInInv : 0) |
-                                                    (dead ? kDeadlock : 0)));
+        t.flags.push_back(static_cast<std::uint8_t>(in_inv));
       }
     });
     if (block_ns != nullptr) block_ns->record(obs::now() - t0);
@@ -112,7 +110,6 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
   for (const Chunk& t : tally) total += t.necklaces;
   if (collect) {
     out.ids.reserve(total);
-    out.orbit.reserve(total);
     out.flags.reserve(total);
   }
   for (const Chunk& t : tally) {
@@ -124,7 +121,6 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
         out.census.deadlock_orbit_reps.push_back(id);
     if (collect) {
       out.ids.insert(out.ids.end(), t.ids.begin(), t.ids.end());
-      out.orbit.insert(out.orbit.end(), t.orbit.begin(), t.orbit.end());
       out.flags.insert(out.flags.end(), t.flags.begin(), t.flags.end());
     }
   }
@@ -137,7 +133,11 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
   return out;
 }
 
-/// Canonicalized, deduplicated successor ranks of every necklace, as CSR.
+/// One successor pass over the necklaces: the ¬I quotient CSR (successors
+/// canonicalized, ranked, deduplicated) plus the closure check. A necklace
+/// in I only looks for its first successor outside I, and once a chunk has
+/// found one its later I-necklaces are skipped: the merge keeps the
+/// smallest violating necklace, reported as an actual transition.
 void build_quotient_graph(const RingInstance& ring, Quotient& q,
                           std::size_t num_threads) {
   const obs::Span span("symmetry.quotient_graph");
@@ -146,187 +146,91 @@ void build_quotient_graph(const RingInstance& ring, Quotient& q,
   const auto& space = ring.protocol().space();
   const std::span<const GlobalStateId> pow{ring.powers()};
 
+  std::vector<std::uint32_t> ni_rank(n, kUnvisited);  // inverse of ni_of
+  for (std::uint32_t r = 0; r < n; ++r)
+    if (!q.in_inv(r)) {
+      ni_rank[r] = static_cast<std::uint32_t>(q.ni_of.size());
+      q.ni_of.push_back(r);
+    }
+  q.to_inv.assign(q.ni_of.size());
   auto rank_of = [&](GlobalStateId id) {
     const auto it = std::lower_bound(q.ids.begin(), q.ids.end(), id);
     RINGSTAB_ASSERT(it != q.ids.end() && *it == id,
                     "canonicalized successor is not an enumerated necklace");
     return static_cast<std::uint32_t>(it - q.ids.begin());
   };
+  auto digits_in_inv = [&](const std::vector<Value>& digits) {
+    for (std::size_t i = 0; i < k; ++i)
+      if (!ring.legit_local(ring.local_state_from(digits.data(), i)))
+        return false;
+    return true;
+  };
 
   const std::uint64_t chunks = num_chunks(n, 0);
   struct Chunk {
-    std::vector<std::uint32_t> deg;  // per rank in the chunk
+    std::vector<std::uint32_t> deg;  // per ¬I necklace in the chunk
     std::vector<std::uint32_t> col;
+    std::optional<std::pair<GlobalStateId, GlobalStateId>> escape;
   };
   std::vector<Chunk> built(chunks);
   parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
     Chunk& c = built[chunk.index];
-    c.deg.assign(chunk.end - chunk.begin, 0);
     std::vector<Value> digits;
     std::vector<RingInstance::Step> succ;
     std::vector<std::uint32_t> targets;
     for (std::uint64_t r = chunk.begin; r < chunk.end; ++r) {
+      const bool in_inv = q.in_inv(static_cast<std::uint32_t>(r));
+      if (in_inv && c.escape) continue;
       ring.decode_into(q.ids[r], digits);
       ring.successors_from(q.ids[r], digits.data(), succ);
       targets.clear();
+      bool into_inv = false;
       for (const auto& step : succ) {
         const Value old_self = digits[step.process];
         digits[step.process] = space.self(step.transition.to);
-        targets.push_back(rank_of(
-            canonical_necklace_id(digits.data(), k, pow)));
+        if (in_inv) {
+          if (!digits_in_inv(digits)) {
+            c.escape = {q.ids[r], step.target};
+            break;
+          }
+        } else {
+          const std::uint32_t t =
+              rank_of(canonical_necklace_id(digits.data(), k, pow));
+          if (q.in_inv(t))
+            into_inv = true;
+          else
+            targets.push_back(ni_rank[t]);
+        }
         digits[step.process] = old_self;
       }
+      if (in_inv) continue;
       std::sort(targets.begin(), targets.end());
       targets.erase(std::unique(targets.begin(), targets.end()),
                     targets.end());
-      c.deg[r - chunk.begin] = static_cast<std::uint32_t>(targets.size());
+      c.deg.push_back(static_cast<std::uint32_t>(targets.size()));
       c.col.insert(c.col.end(), targets.begin(), targets.end());
+      // ¬I ranks are not chunk-word-aligned: neighbor chunks share words.
+      if (into_inv) q.to_inv.set_atomic(ni_rank[r]);
     }
   });
 
-  q.row.assign(n + 1, 0);
-  std::uint64_t edges = 0;
-  {
-    std::uint64_t rank = 0;
-    for (const Chunk& c : built)
-      for (std::uint32_t d : c.deg) {
-        q.row[rank++] = edges;
-        edges += d;
-      }
-    q.row[n] = edges;
+  CsrGraph& g = q.csr;
+  g.row.assign(q.ni_of.size() + 1, 0);
+  std::uint64_t rank = 0;
+  for (const Chunk& c : built) {
+    if (!q.escape) q.escape = c.escape;
+    for (const std::uint32_t d : c.deg) {
+      g.row[rank + 1] = g.row[rank] + d;
+      ++rank;
+    }
   }
-  q.col.reserve(edges);
+  g.col.reserve(g.row.back());
   for (const Chunk& c : built)
-    q.col.insert(q.col.end(), c.col.begin(), c.col.end());
-  obs::counter("symmetry.quotient_edges").add(edges);
+    g.col.insert(g.col.end(), c.col.begin(), c.col.end());
+  obs::counter("symmetry.quotient_edges").add(g.num_edges());
   if (obs::enabled())
     obs::gauge("mem.csr_bytes")
-        .set(q.row.size() * sizeof(q.row[0]) + q.col.size() * sizeof(q.col[0]));
-}
-
-/// Closure of I on the quotient: a necklace in I with any successor orbit
-/// outside I breaks closure; the reported witness is re-derived as an
-/// actual (source, target) transition of the smallest violating rank.
-bool check_quotient_closure(
-    const RingInstance& ring, const Quotient& q, std::size_t num_threads,
-    std::optional<std::pair<GlobalStateId, GlobalStateId>>* violation) {
-  const obs::Span span("symmetry.closure");
-  const std::uint32_t n = q.size();
-  const std::uint64_t chunks = num_chunks(n, 0);
-  std::vector<std::uint32_t> first_bad(chunks, kUnvisited);
-  parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
-    for (std::uint64_t r = chunk.begin; r < chunk.end; ++r) {
-      if (!q.in_inv(static_cast<std::uint32_t>(r))) continue;
-      for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e) {
-        if (!q.in_inv(q.col[e])) {
-          first_bad[chunk.index] = static_cast<std::uint32_t>(r);
-          return;
-        }
-      }
-    }
-  });
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    if (first_bad[c] == kUnvisited) continue;
-    if (violation) {
-      // Re-derive a concrete escaping transition from the canonical source.
-      const GlobalStateId s = q.ids[first_bad[c]];
-      std::vector<RingInstance::Step> succ;
-      ring.successors(s, succ);
-      for (const auto& step : succ) {
-        if (!ring.in_invariant(step.target)) {
-          *violation = {s, step.target};
-          break;
-        }
-      }
-    }
-    return false;
-  }
-  return true;
-}
-
-/// Backward fixpoint "can reach I" over the quotient graph, in synchronous
-/// (Jacobi) rounds exactly like the full-space engine, so the round count
-/// and result are thread-count-invariant.
-bool check_quotient_weak_convergence(const Quotient& q,
-                                     std::size_t num_threads) {
-  const obs::Span span("symmetry.weak_convergence");
-  obs::Counter& rounds = obs::counter("symmetry.fixpoint_rounds");
-  const std::uint32_t n = q.size();
-  std::vector<std::uint8_t> reaches(n), next(n);
-  for (std::uint32_t r = 0; r < n; ++r) reaches[r] = q.in_inv(r) ? 1 : 0;
-  const std::uint64_t chunks = num_chunks(n, 0);
-  std::vector<std::uint8_t> chunk_changed(chunks, 0);
-  while (true) {
-    rounds.add(1);
-    next = reaches;
-    std::fill(chunk_changed.begin(), chunk_changed.end(), 0);
-    parallel_for(n, num_threads, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      bool changed = false;
-      for (std::uint64_t r = chunk.begin; r < chunk.end; ++r) {
-        if (reaches[r]) continue;
-        for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e) {
-          if (reaches[q.col[e]]) {
-            next[r] = 1;
-            changed = true;
-            break;
-          }
-        }
-      }
-      chunk_changed[chunk.index] = changed;
-    });
-    if (std::find(chunk_changed.begin(), chunk_changed.end(), 1) ==
-        chunk_changed.end())
-      break;
-    std::swap(reaches, next);
-  }
-  return std::find(reaches.begin(), reaches.end(), 0) == reaches.end();
-}
-
-/// Livelock pass on the ¬I-restricted quotient graph, via the shared
-/// FB/FWBW parallel SCC engine (graph/parallel_scc.hpp). Unlike the full
-/// space, the quotient can have self-loops (a transition landing on a
-/// nontrivial rotation of its source); a self-loop is a cycle. The witness
-/// is canonical — anchored at the smallest ¬I rank lying on any cycle — so
-/// it is bit-identical for every thread count. Returns quotient ranks, or
-/// nullopt when the ¬I quotient is acyclic.
-std::optional<std::vector<std::uint32_t>> find_quotient_cycle(
-    const Quotient& q, std::size_t num_threads) {
-  const obs::Span span("symmetry.livelock_scc");
-  const std::uint32_t n = q.size();
-  // Compact the ¬I ranks into a sub-CSR: sub[i] is the i-th rank outside I,
-  // edges into I are dropped (they cannot lie on a ¬I cycle), self-loops
-  // are kept.
-  std::vector<std::uint32_t> sub_of(n, kUnvisited), rank_of;
-  for (std::uint32_t r = 0; r < n; ++r)
-    if (!q.in_inv(r)) {
-      sub_of[r] = static_cast<std::uint32_t>(rank_of.size());
-      rank_of.push_back(r);
-    }
-  CsrGraph g;
-  g.row.assign(rank_of.size() + 1, 0);
-  for (std::uint32_t i = 0; i < rank_of.size(); ++i) {
-    const std::uint32_t r = rank_of[i];
-    g.row[i + 1] = g.row[i];
-    for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e)
-      if (sub_of[q.col[e]] != kUnvisited) {
-        g.col.push_back(sub_of[q.col[e]]);
-        ++g.row[i + 1];
-      }
-  }
-
-  const ParallelSccResult scc = parallel_scc(g, num_threads);
-  std::uint32_t start = kUnvisited;
-  for (std::uint32_t v = 0; v < rank_of.size(); ++v)
-    if (scc.on_cycle(v)) {
-      start = v;
-      break;
-    }
-  if (start == kUnvisited) return std::nullopt;
-  std::vector<std::uint32_t> cycle;
-  for (const std::uint32_t v : extract_component_cycle(g, scc, start))
-    cycle.push_back(rank_of[v]);
-  return cycle;
+        .set(g.row.size() * sizeof(g.row[0]) + g.col.size() * sizeof(g.col[0]));
 }
 
 /// Lift a quotient cycle to a genuine full-space cycle: walk actual
@@ -372,35 +276,6 @@ std::vector<GlobalStateId> lift_quotient_cycle(
   return {};
 }
 
-/// Longest path to I on the quotient (rotation-invariant, so it equals the
-/// full-space recovery bound). Memoized DFS; only called when the instance
-/// strongly converges, mirroring the plain checker.
-std::size_t quotient_recovery_steps(const Quotient& q) {
-  const obs::Span span("symmetry.recovery_layering");
-  constexpr std::uint32_t kUnknown = 0xfffffffeu;
-  constexpr std::uint32_t kInProgress = 0xfffffffdu;
-  const std::uint32_t n = q.size();
-  std::vector<std::uint32_t> depth(n, kUnknown);
-  std::size_t best = 0;
-  auto dfs = [&](auto&& self, std::uint32_t r) -> std::uint32_t {
-    if (q.in_inv(r)) return 0;
-    if (depth[r] == kInProgress)
-      throw ModelError("cycle outside I: not strongly converging");
-    if (depth[r] != kUnknown) return depth[r];
-    depth[r] = kInProgress;
-    if (q.row[r] == q.row[r + 1])
-      throw ModelError("deadlock outside I: not strongly converging");
-    std::uint32_t d = 0;
-    for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e)
-      d = std::max(d, 1 + self(self, q.col[e]));
-    depth[r] = d;
-    return d;
-  };
-  for (std::uint32_t r = 0; r < n; ++r)
-    best = std::max<std::size_t>(best, dfs(dfs, r));
-  return best;
-}
-
 }  // namespace
 
 GlobalStateId canonical_rotation(const RingInstance& ring, GlobalStateId s) {
@@ -440,21 +315,23 @@ SymmetricCheckResult check_symmetric(const RingInstance& ring,
 
   Quotient q;
   q.ids = std::move(build.ids);
-  q.orbit = std::move(build.orbit);
   q.flags = std::move(build.flags);
   RINGSTAB_ASSERT(q.ids.size() < kUnvisited,
                   "quotient too large for 32-bit ranks");
   build_quotient_graph(ring, q, num_threads);
+  res.closure_ok = !q.escape;
+  res.closure_violation = q.escape;
 
-  res.closure_ok =
-      check_quotient_closure(ring, q, num_threads, &res.closure_violation);
-  res.weakly_converges = check_quotient_weak_convergence(q, num_threads);
-  if (const auto cycle = find_quotient_cycle(q, num_threads)) {
+  const VerdictTail tail = verdict_tail(q.csr, q.to_inv, num_threads);
+  res.weakly_converges = tail.weakly_converges;
+  if (!tail.witness.empty()) {
+    std::vector<std::uint32_t> cycle;
+    cycle.reserve(tail.witness.size());
+    for (const std::uint32_t r : tail.witness) cycle.push_back(q.ni_of[r]);
     res.has_livelock = true;
-    res.livelock_cycle = lift_quotient_cycle(ring, q, *cycle);
+    res.livelock_cycle = lift_quotient_cycle(ring, q, cycle);
   }
-  if (res.strongly_converges())
-    res.max_recovery_steps = quotient_recovery_steps(q);
+  if (res.strongly_converges()) res.max_recovery_steps = tail.levels;
   return res;
 }
 

@@ -7,8 +7,11 @@
 //
 //  * deadlock / membership in I are rotation-invariant state predicates, so
 //    orbit-size weighting recovers the plain checker's exact counts;
-//  * closure and reachability-of-I are rotation-invariant, so the quotient
-//    fixpoints decide them;
+//  * closure, reachability of I and recovery depth are rotation-invariant,
+//    so the quotient decides them: one successor pass over the necklaces
+//    checks closure and builds the ¬I quotient CSR, and the shared ¬I
+//    verdict tail (graph/peel.hpp) answers weak convergence, livelock and
+//    the recovery bound from it;
 //  * a livelock exists iff the quotient transition graph restricted to ¬I
 //    has a cycle (possibly a self-loop): a real cycle projects to a
 //    quotient cycle, and a quotient cycle lifts — following it returns to a
@@ -84,7 +87,7 @@ struct SymmetricCheckResult {
   /// An actual transition leaving I: canonical source, raw successor.
   std::optional<std::pair<GlobalStateId, GlobalStateId>> closure_violation;
 
-  /// Every state can reach I (weak convergence), by quotient fixpoint.
+  /// Every state can reach I (weak convergence), decided on the quotient.
   bool weakly_converges = false;
 
   /// Worst-case steps to reach I; computed (on the quotient) only when
@@ -101,11 +104,11 @@ struct SymmetricCheckResult {
   }
 };
 
-/// `num_threads > 1` parallelizes the necklace enumeration, quotient-graph
-/// build, closure scan, weak-convergence fixpoint, and the FB/FWBW livelock
-/// SCC pass on the shared pool; all results — including the lifted livelock
-/// witness, which is anchored canonically — stay identical to the serial
-/// run at every thread count.
+/// `num_threads > 1` parallelizes the necklace enumeration, the quotient
+/// graph build (with its closure check), and the ¬I verdict tail on the
+/// shared pool; all results — including the lifted livelock witness, which
+/// is anchored canonically — stay identical to the serial run at every
+/// thread count.
 SymmetricCheckResult check_symmetric(const RingInstance& ring,
                                      std::size_t max_samples = 8,
                                      std::size_t num_threads = 1);

@@ -3,8 +3,6 @@
 #include <random>
 
 #include "core/fmt.hpp"
-#include "graph/digraph.hpp"
-#include "graph/scc.hpp"
 
 namespace ringstab {
 
@@ -90,24 +88,7 @@ std::string TreeInstance::brief(GlobalStateId s) const {
 }
 
 TreeCheckResult check_tree(const TreeInstance& inst) {
-  TreeCheckResult res;
-  const GlobalStateId n = inst.num_states();
-  Digraph g(static_cast<std::size_t>(n));
-  std::vector<bool> outside(static_cast<std::size_t>(n), false);
-  std::vector<TreeInstance::Step> succ;
-  for (GlobalStateId s = 0; s < n; ++s) {
-    outside[static_cast<std::size_t>(s)] = !inst.in_invariant(s);
-    inst.successors(s, succ);
-    if (succ.empty() && outside[static_cast<std::size_t>(s)])
-      ++res.num_deadlocks_outside_i;
-    for (const auto& step : succ)
-      g.add_arc(static_cast<VertexId>(s), static_cast<VertexId>(step.target));
-  }
-  const Digraph restricted = g.induced(outside);
-  res.has_livelock = any_marked_on_cycle(restricted, outside);
-  std::vector<bool> all(static_cast<std::size_t>(n), true);
-  res.terminates = !any_marked_on_cycle(g, all);
-  return res;
+  return check_explicit(inst);
 }
 
 std::vector<std::size_t> random_tree_shape(std::size_t n,

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "global/array_instance.hpp"
 #include "local/array.hpp"
 
 namespace ringstab {
@@ -58,13 +59,9 @@ class TreeInstance {
   std::vector<GlobalStateId> pow_;
 };
 
-struct TreeCheckResult {
-  std::size_t num_deadlocks_outside_i = 0;
-  bool has_livelock = false;
-  bool terminates = false;
-};
+using TreeCheckResult = ArrayCheckResult;
 
-/// Exhaustive check (explicit digraph; capped state space).
+/// Exhaustive check (check_explicit; capped state space).
 TreeCheckResult check_tree(const TreeInstance& inst);
 
 /// A uniformly random in-tree shape on n nodes (each node's parent drawn

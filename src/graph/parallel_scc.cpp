@@ -1,10 +1,10 @@
 #include "graph/parallel_scc.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 #include "core/types.hpp"
+#include "graph/peel.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -30,88 +30,41 @@ struct Run {
   std::uint32_t n() const { return g.num_vertices(); }
   bool live(std::uint32_t v) const { return res.component[v] == kNone; }
 
-  // ---- transpose + self-loop detection (parallel) ----------------------
-  void build_transpose() {
-    const std::uint32_t nv = n();
-    std::vector<std::uint64_t> cursor(nv, 0);  // in-degrees, then offsets
-    parallel_for(nv, num_threads, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      for (std::uint64_t v = chunk.begin; v < chunk.end; ++v) {
-        for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
-          const std::uint32_t w = g.col[e];
-          if (w == v) res.self_loop.set_atomic(v);
-          std::atomic_ref<std::uint64_t> deg(cursor[w]);
-          deg.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-    tr.row.assign(nv + 1, 0);
-    for (std::uint32_t v = 0; v < nv; ++v) {
-      tr.row[v + 1] = tr.row[v] + cursor[v];
-      cursor[v] = tr.row[v];
-    }
-    tr.col.assign(g.num_edges(), 0);
-    parallel_for(nv, num_threads, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      for (std::uint64_t v = chunk.begin; v < chunk.end; ++v) {
-        for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
-          std::atomic_ref<std::uint64_t> slot(cursor[g.col[e]]);
-          tr.col[slot.fetch_add(1, std::memory_order_relaxed)] =
-              static_cast<std::uint32_t>(v);
-        }
-      }
-    });
-  }
-
   // ---- trim: peel vertices that cannot lie on a cycle ------------------
-  // Kahn-style worklist over both edge directions, O(V+E) total. Every
-  // trimmed vertex is its own (trivial) SCC. The trimmed set is the unique
-  // fixpoint of the removal rule, so it is schedule-independent.
+  // One out-degree and one in-degree peel (graph/peel.hpp). Self-loops
+  // never keep a vertex alive: its SCC is {v} either way and the self_loop
+  // bitset carries the cycle verdict. A vertex survives both peels iff it
+  // reaches a cycle and is reached from one — exactly the survivors of a
+  // combined in/out fixpoint — so the trim is the union of the two peels.
+  // Every trimmed vertex is its own (trivial) SCC.
   void trim() {
+    const obs::Span span("scc.trim");
     const std::uint32_t nv = n();
-    std::vector<std::uint32_t> ind(nv, 0), outd(nv, 0);
+    std::vector<std::uint32_t> self(nv, 0);
     parallel_for(nv, num_threads, 0,
                  [&](const ChunkRange& chunk, std::size_t) {
       for (std::uint64_t v = chunk.begin; v < chunk.end; ++v) {
-        std::uint32_t self = 0;
         for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e)
-          if (g.col[e] == v) ++self;
-        // Self-loops never keep a vertex alive: its SCC is {v} either way
-        // and the self_loop bitset carries the cycle verdict.
-        outd[v] = static_cast<std::uint32_t>(g.row[v + 1] - g.row[v]) - self;
-        ind[v] = static_cast<std::uint32_t>(tr.row[v + 1] - tr.row[v]) - self;
+          if (g.col[e] == v) ++self[v];
+        // 64-aligned chunks own their bitset words.
+        if (self[v] > 0) res.self_loop.set(v);
       }
     });
-    std::vector<std::uint32_t> queue;
-    PackedBitset queued(nv);
-    for (std::uint32_t v = 0; v < nv; ++v)
-      if (ind[v] == 0 || outd[v] == 0) {
-        queue.push_back(v);
-        queued.set(v);
-      }
+    auto degrees = [&](const CsrGraph& dir) {
+      std::vector<std::uint32_t> deg(nv);
+      for (std::uint32_t v = 0; v < nv; ++v)
+        deg[v] = static_cast<std::uint32_t>(dir.row[v + 1] - dir.row[v]) -
+                 self[v];
+      return deg;
+    };
+    const PackedBitset no_out = peel(tr, degrees(g), num_threads).peeled;
+    const PackedBitset no_in = peel(g, degrees(tr), num_threads).peeled;
     std::uint64_t trimmed = 0;
-    while (!queue.empty()) {
-      const std::uint32_t v = queue.back();
-      queue.pop_back();
-      res.component[v] = v;
-      ++trimmed;
-      for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
-        const std::uint32_t w = g.col[e];
-        if (w == v || !live(w)) continue;
-        if (--ind[w] == 0 && !queued.test(w)) {
-          queue.push_back(w);
-          queued.set(w);
-        }
+    for (std::uint32_t v = 0; v < nv; ++v)
+      if (no_out.test(v) || no_in.test(v)) {
+        res.component[v] = v;
+        ++trimmed;
       }
-      for (std::uint64_t e = tr.row[v]; e < tr.row[v + 1]; ++e) {
-        const std::uint32_t u = tr.col[e];
-        if (u == v || !live(u)) continue;
-        if (--outd[u] == 0 && !queued.test(u)) {
-          queue.push_back(u);
-          queued.set(u);
-        }
-      }
-    }
     obs::counter("scc.trimmed").add(trimmed);
   }
 
@@ -124,24 +77,15 @@ struct Run {
     mark.set(pivot);
     std::vector<std::uint32_t> frontier{pivot};
     while (!frontier.empty()) {
-      const std::uint64_t fsize = frontier.size();
-      const std::uint64_t chunks = num_chunks(fsize, 0);
-      std::vector<std::vector<std::uint32_t>> next(chunks);
-      parallel_for(fsize, num_threads, 0,
-                   [&](const ChunkRange& chunk, std::size_t) {
-        std::vector<std::uint32_t>& out = next[chunk.index];
-        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-          const std::uint32_t v = frontier[i];
-          for (std::uint64_t e = graph.row[v]; e < graph.row[v + 1]; ++e) {
-            const std::uint32_t w = graph.col[e];
-            if (region[w] != rid || !live(w)) continue;
-            if (mark.test_and_set_atomic(w)) out.push_back(w);
-          }
-        }
-      });
-      frontier.clear();
-      for (auto& chunk_out : next)
-        frontier.insert(frontier.end(), chunk_out.begin(), chunk_out.end());
+      frontier = next_frontier(
+          frontier, num_threads,
+          [&](std::uint32_t v, std::vector<std::uint32_t>& next) {
+            for (std::uint64_t e = graph.row[v]; e < graph.row[v + 1]; ++e) {
+              const std::uint32_t w = graph.col[e];
+              if (region[w] == rid && live(w) && mark.test_and_set_atomic(w))
+                next.push_back(w);
+            }
+          });
       visited.insert(visited.end(), frontier.begin(), frontier.end());
     }
     return visited;
@@ -293,7 +237,7 @@ ParallelSccResult parallel_scc(const CsrGraph& g, std::size_t num_threads) {
   run.res.nontrivial.assign(n);
   run.res.self_loop.assign(n);
   if (n == 0) return std::move(run.res);
-  run.build_transpose();
+  run.tr = transpose(g, run.num_threads);
   run.trim();
   run.decompose();
   std::uint64_t comps = 0;

@@ -3,9 +3,8 @@
 // The scheme is forward–backward reachability coloring (FB/FWBW) with trim
 // preprocessing:
 //  * trim peels vertices that cannot lie on a cycle (no live predecessor or
-//    no live successor) via a Kahn-style worklist — O(V+E) total, and on
-//    the DAG-shaped ¬I graphs of converging protocols it usually decides
-//    everything before a single reachability sweep runs;
+//    no live successor) with one out-degree and one in-degree run of the
+//    level-synchronous peel (graph/peel.hpp) — O(V+E) total;
 //  * each surviving region picks its smallest vertex as pivot and computes
 //    the forward set F and backward set B by level-synchronous BFS — the
 //    memory-bound part, parallelized over the shared jthread pool — so

@@ -1,0 +1,224 @@
+#include "graph/peel.hpp"
+
+#include <atomic>
+#include <bit>
+#include <numeric>
+
+#include "core/types.hpp"
+#include "obs/obs.hpp"
+#include "parallel/thread_pool.hpp"
+
+namespace ringstab {
+namespace {
+
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// The vertices of [0, n) satisfying `pred`, ascending (per-chunk lists
+/// merged in chunk order).
+template <class Pred>
+std::vector<std::uint32_t> vertices_where(std::uint32_t n,
+                                          std::size_t num_threads,
+                                          const Pred& pred) {
+  std::vector<std::vector<std::uint32_t>> parts(num_chunks(n, 0));
+  parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
+    for (std::uint64_t v = chunk.begin; v < chunk.end; ++v)
+      if (pred(static_cast<std::uint32_t>(v)))
+        parts[chunk.index].push_back(static_cast<std::uint32_t>(v));
+  });
+  std::vector<std::uint32_t> out;
+  for (const auto& part : parts)
+    out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+/// Backward sweep over the residue: a residue vertex with an exit — a move
+/// into I, or onto a peeled vertex, all of which reach I once no deadlock
+/// exists — reaches I, and so does every vertex that reaches it. A peeled
+/// vertex has only peeled successors, so the predecessors of residue
+/// vertices are residue vertices and the sweep never leaves the residue.
+bool residue_reaches_inv(const CsrGraph& g, const CsrGraph& tr,
+                         const PackedBitset& to_inv,
+                         const PackedBitset& peeled, std::uint64_t residue,
+                         std::size_t num_threads) {
+  PackedBitset reached(g.num_vertices());
+  std::vector<std::uint32_t> frontier =
+      vertices_where(g.num_vertices(), num_threads, [&](std::uint32_t v) {
+        if (peeled.test(v)) return false;
+        if (to_inv.test(v)) return true;
+        for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e)
+          if (peeled.test(g.col[e])) return true;
+        return false;
+      });
+  for (const std::uint32_t v : frontier) reached.set(v);
+  std::uint64_t count = 0;
+  while (!frontier.empty()) {
+    count += frontier.size();
+    frontier = next_frontier(
+        frontier, num_threads,
+        [&](std::uint32_t v, std::vector<std::uint32_t>& next) {
+          for (std::uint64_t e = tr.row[v]; e < tr.row[v + 1]; ++e)
+            if (reached.test_and_set_atomic(tr.col[e]))
+              next.push_back(tr.col[e]);
+        });
+  }
+  return count == residue;
+}
+
+/// The residue as its own CSR: vertex i is the i-th unpeeled vertex, edges
+/// onto peeled vertices are dropped (they lie on no cycle), and the rest
+/// keep their order. The relabeling is monotone, so canonical min-member
+/// SCC labels and the witness DFS match those of the whole graph.
+CsrGraph compact_residue(const CsrGraph& g, const PackedBitset& peeled,
+                         const std::vector<std::uint32_t>& ids,
+                         std::size_t num_threads) {
+  // word_rank[w] = residue vertices in words [0, w): a rank is one prefix
+  // read plus one popcount. (The last word's slack bits count as residue,
+  // but only the prefix past that word would see them.)
+  std::vector<std::uint32_t> word_rank(peeled.num_words() + 1, 0);
+  for (std::uint64_t w = 0; w < peeled.num_words(); ++w)
+    word_rank[w + 1] = word_rank[w] + static_cast<std::uint32_t>(
+                                          std::popcount(~peeled.word(w)));
+  auto rank = [&](std::uint32_t v) {
+    const std::uint64_t below = (std::uint64_t{1} << (v & 63)) - 1;
+    return word_rank[v >> 6] + static_cast<std::uint32_t>(std::popcount(
+                                   ~peeled.word(v >> 6) & below));
+  };
+  CsrGraph sub;
+  sub.row.assign(ids.size() + 1, 0);
+  parallel_for(ids.size(), num_threads, 0,
+               [&](const ChunkRange& chunk, std::size_t) {
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i)
+      for (std::uint64_t e = g.row[ids[i]]; e < g.row[ids[i] + 1]; ++e)
+        if (!peeled.test(g.col[e])) ++sub.row[i + 1];
+  });
+  std::partial_sum(sub.row.begin(), sub.row.end(), sub.row.begin());
+  sub.col.resize(sub.row.back());
+  parallel_for(ids.size(), num_threads, 0,
+               [&](const ChunkRange& chunk, std::size_t) {
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+      std::uint64_t out = sub.row[i];
+      for (std::uint64_t e = g.row[ids[i]]; e < g.row[ids[i] + 1]; ++e)
+        if (!peeled.test(g.col[e])) sub.col[out++] = rank(g.col[e]);
+    }
+  });
+  return sub;
+}
+
+}  // namespace
+
+CsrGraph transpose(const CsrGraph& g, std::size_t num_threads) {
+  const std::uint32_t n = g.num_vertices();
+  std::vector<std::uint64_t> cursor(n, 0);  // in-degrees, then offsets
+  parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
+    for (std::uint64_t e = g.row[chunk.begin]; e < g.row[chunk.end]; ++e)
+      std::atomic_ref<std::uint64_t>(cursor[g.col[e]])
+          .fetch_add(1, std::memory_order_relaxed);
+  });
+  CsrGraph tr;
+  tr.row.assign(n + 1, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    tr.row[v + 1] = tr.row[v] + cursor[v];
+    cursor[v] = tr.row[v];
+  }
+  tr.col.assign(g.num_edges(), 0);
+  parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
+    for (std::uint64_t v = chunk.begin; v < chunk.end; ++v)
+      for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e)
+        tr.col[std::atomic_ref<std::uint64_t>(cursor[g.col[e]])
+                   .fetch_add(1, std::memory_order_relaxed)] =
+            static_cast<std::uint32_t>(v);
+  });
+  return tr;
+}
+
+PeelResult peel(const CsrGraph& reverse, std::vector<std::uint32_t> degree,
+                std::size_t num_threads) {
+  PeelResult res;
+  res.peeled.assign(reverse.num_vertices());
+  std::vector<std::uint32_t> frontier = vertices_where(
+      reverse.num_vertices(), num_threads,
+      [&](std::uint32_t v) { return degree[v] == 0; });
+  while (!frontier.empty()) {
+    ++res.levels;
+    res.num_peeled += frontier.size();
+    frontier = next_frontier(
+        frontier, num_threads,
+        [&](std::uint32_t v, std::vector<std::uint32_t>& next) {
+          res.peeled.set_atomic(v);
+          for (std::uint64_t e = reverse.row[v]; e < reverse.row[v + 1]; ++e) {
+            const std::uint32_t u = reverse.col[e];
+            if (std::atomic_ref<std::uint32_t>(degree[u]).fetch_sub(
+                    1, std::memory_order_relaxed) == 1)
+              next.push_back(u);
+          }
+        });
+  }
+  return res;
+}
+
+VerdictTail verdict_tail(const CsrGraph& g, const PackedBitset& to_inv,
+                         std::size_t num_threads) {
+  const obs::Span span("tail.verdict");
+  const std::uint32_t n = g.num_vertices();
+  VerdictTail out;
+  out.on_cycle.assign(n);
+  PackedBitset peeled;
+  {
+    CsrGraph tr;
+    {
+      const obs::Span transpose_span("tail.transpose");
+      tr = transpose(g, num_threads);
+    }
+    std::vector<std::uint32_t> degree(n);
+    std::vector<std::uint64_t> dead(num_chunks(n, 0), 0);
+    parallel_for(n, num_threads, 0,
+                 [&](const ChunkRange& chunk, std::size_t) {
+      for (std::uint64_t v = chunk.begin; v < chunk.end; ++v) {
+        degree[v] = static_cast<std::uint32_t>(g.row[v + 1] - g.row[v]);
+        if (degree[v] == 0 && !to_inv.test(v)) ++dead[chunk.index];
+      }
+    });
+    out.num_deadlocks = std::accumulate(dead.begin(), dead.end(),
+                                        std::uint64_t{0});
+    {
+      const obs::Span peel_span("tail.peel");
+      PeelResult p = peel(tr, std::move(degree), num_threads);
+      out.levels = p.levels;
+      out.residue = n - p.num_peeled;
+      peeled = std::move(p.peeled);
+    }
+    if (out.num_deadlocks == 0) {
+      const obs::Span reach_span("tail.reach");
+      out.weakly_converges =
+          out.acyclic() ||
+          residue_reaches_inv(g, tr, to_inv, peeled, out.residue, num_threads);
+    }
+  }  // the tail's transpose dies before the residue SCC builds its own
+  obs::counter("tail.peeled").add(n - out.residue);
+  obs::counter("tail.levels").add(out.levels);
+  obs::counter("tail.residue").add(out.residue);
+  if (out.acyclic()) return out;
+
+  std::vector<std::uint32_t> ids;  // residue index -> vertex, when compacted
+  CsrGraph sub;
+  if (out.residue < n) {
+    ids = vertices_where(n, num_threads,
+                         [&](std::uint32_t v) { return !peeled.test(v); });
+    sub = compact_residue(g, peeled, ids, num_threads);
+  }
+  const CsrGraph& graph = ids.empty() ? g : sub;
+  auto vertex = [&](std::uint32_t i) { return ids.empty() ? i : ids[i]; };
+  const ParallelSccResult scc = parallel_scc(graph, num_threads);
+  std::uint32_t start = kNone;
+  for (std::uint32_t i = 0; i < graph.num_vertices(); ++i)
+    if (scc.on_cycle(i)) {
+      out.on_cycle.set(vertex(i));
+      if (start == kNone) start = i;
+    }
+  RINGSTAB_ASSERT(start != kNone, "a nonempty residue holds a cycle");
+  for (const std::uint32_t i : extract_component_cycle(graph, scc, start))
+    out.witness.push_back(vertex(i));
+  return out;
+}
+
+}  // namespace ringstab

@@ -23,15 +23,24 @@ struct RandomProtocolOptions {
   bool allow_bidirectional = false;
   double transition_density = 0.3;  // probability a deadlockable state fires
   double legit_density = 0.5;
+  bool legit_fires = false;  // legitimate states fire too (closure may fail)
 };
 
 Protocol random_protocol(std::mt19937_64& rng,
                          const RandomProtocolOptions& opts = {});
 
-/// True iff p(K) has a global deadlock outside I.
+/// Deterministic random array protocols (locality {1,0}, 2..3 real values
+/// plus ⊥): transitions fire only from states whose self is a real value.
+/// With `self_disabling`, only illegitimate states fire and transitions
+/// whose target fires are dropped; without it, legitimate states fire too
+/// and computations may cycle.
+Protocol random_array_protocol(std::mt19937_64& rng,
+                               bool self_disabling = true);
+
+/// True iff p(K) has a global deadlock outside I (brute-force oracle).
 bool global_has_deadlock(const Protocol& p, std::size_t k);
 
-/// True iff p(K) has a livelock (cycle outside I).
+/// True iff p(K) has a livelock (cycle outside I) (brute-force oracle).
 bool global_has_livelock(const Protocol& p, std::size_t k);
 
 }  // namespace ringstab::testing

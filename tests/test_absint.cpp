@@ -262,8 +262,9 @@ TEST(Absint, ReplayAgreesWithRealizeTrail) {
     const auto replay = replay_trail(c.p, *live.trail());
     // Soundness: a statically-unrealizable verdict must never contradict a
     // concrete realization, and a realized trail must replay.
-    if (concrete.verdict == TrailRealization::kRealized)
+    if (concrete.verdict == TrailRealization::kRealized) {
       EXPECT_EQ(replay.verdict, TrailReplay::Verdict::kRealizable);
+    }
     if (replay.verdict == TrailReplay::Verdict::kUnrealizable) {
       EXPECT_NE(concrete.verdict, TrailRealization::kRealized);
       EXPECT_FALSE(replay.reason.empty());
@@ -329,9 +330,11 @@ TEST(StaticLane, VerdictsBitIdenticalLaneOnAndOff) {
     expect_identical(on1, off1);
     expect_identical(on1, on4);
     // The lane must never mark a candidate the lane-off run accepted.
-    for (std::size_t i = 0; i < on1.reports.size(); ++i)
-      if (on1.reports[i].static_reject)
+    for (std::size_t i = 0; i < on1.reports.size(); ++i) {
+      if (on1.reports[i].static_reject) {
         EXPECT_FALSE(off1.reports[i].accepted());
+      }
+    }
   }
 }
 

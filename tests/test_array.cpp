@@ -14,40 +14,7 @@
 namespace ringstab {
 namespace {
 
-// Random array protocols: transitions fire only from states whose self is a
-// real value, keeping the modeling convention.
-Protocol random_array_protocol(std::mt19937_64& rng) {
-  const std::size_t real = 2 + rng() % 2;  // 2..3 real values
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < real; ++i) names.push_back(std::to_string(i));
-  names.push_back("B");
-  const LocalStateSpace space(Domain::named(names), {1, 0});
-  const Value bot = static_cast<Value>(real);
-
-  std::vector<bool> legit(space.size());
-  for (LocalStateId s = 0; s < space.size(); ++s) legit[s] = rng() & 1;
-
-  std::vector<LocalTransition> delta;
-  std::bernoulli_distribution fire(0.35);
-  for (LocalStateId s = 0; s < space.size(); ++s) {
-    if (space.self(s) == bot) continue;
-    if (legit[s] || !fire(rng)) continue;
-    Value v = static_cast<Value>(rng() % real);
-    if (v == space.self(s)) v = static_cast<Value>((v + 1) % real);
-    delta.push_back({s, space.with_self(s, v)});
-  }
-  // Self-disabling: drop transitions whose target fires.
-  std::vector<bool> is_source(space.size(), false);
-  for (const auto& t : delta) is_source[t.from] = true;
-  delta.erase(std::remove_if(delta.begin(), delta.end(),
-                             [&](const LocalTransition& t) {
-                               return is_source[t.to];
-                             }),
-              delta.end());
-  static int counter = 0;
-  return Protocol("rand_array" + std::to_string(counter++), space,
-                  std::move(delta), std::move(legit));
-}
+using testing::random_array_protocol;
 
 TEST(Array, ValidationRejectsBoundaryWrites) {
   const LocalStateSpace space(Domain::named({"0", "1", "B"}), {1, 0});

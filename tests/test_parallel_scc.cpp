@@ -1,7 +1,7 @@
 // The FB/FWBW parallel SCC engine: canonical labels cross-validated against
-// the serial Tarjan on randomized digraphs, plus end-to-end livelock
-// agreement between the fused (parallel-SCC) and unfused (Tarjan) global
-// engines over the protocol zoo, at 1 and 4 threads.
+// the serial Tarjan on randomized digraphs, plus the global engines'
+// livelock sets and witnesses at 1 and 4 threads over the protocol zoo.
+// (Agreement with an independent oracle lives in test_differential.cpp.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,25 +140,22 @@ TEST(ParallelScc, WitnessCycleIsClosedAndInComponent) {
   }
 }
 
-/// The fused engine's livelock verdicts and state sets must match the
-/// unfused (serial Tarjan) engine exactly over the zoo, and the fused
-/// witness must be bit-identical between 1 and 4 threads.
-TEST(ParallelScc, GlobalEngineMatchesTarjanOverZoo) {
+/// The global engine's livelock state sets and witness cycles must be
+/// bit-identical between 1 and 4 threads over the zoo, and the witness must
+/// be a genuine cycle inside the livelocked set.
+TEST(ParallelScc, GlobalEngineWitnessIsThreadInvariantOverZoo) {
   for (const Protocol& p : testing::protocol_zoo()) {
     for (std::size_t k = 2; k <= 8; ++k) {
       RingInstance ring(p, k);
-      const GlobalChecker fused1(ring, 1);
-      const GlobalChecker fused4(ring, 4);
-      const GlobalChecker tarjan(ring, 1, /*fused=*/false);
+      const GlobalChecker serial(ring, 1);
+      const GlobalChecker par(ring, 4);
 
-      const auto states = fused1.livelock_states();
-      ASSERT_EQ(states, tarjan.livelock_states()) << p.name() << " K=" << k;
-      ASSERT_EQ(states, fused4.livelock_states()) << p.name() << " K=" << k;
+      const auto states = serial.livelock_states();
+      ASSERT_EQ(states, par.livelock_states()) << p.name() << " K=" << k;
 
-      const auto w1 = fused1.find_livelock();
-      const auto w4 = fused4.find_livelock();
-      ASSERT_EQ(w1.has_value(), tarjan.find_livelock().has_value())
-          << p.name() << " K=" << k;
+      const auto w1 = serial.find_livelock();
+      const auto w4 = par.find_livelock();
+      ASSERT_EQ(w1.has_value(), !states.empty()) << p.name() << " K=" << k;
       ASSERT_EQ(w1, w4) << p.name() << " K=" << k;
       if (!w1) continue;
 
