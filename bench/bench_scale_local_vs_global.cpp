@@ -11,6 +11,7 @@
 #include "local/convergence.hpp"
 #include "parallel/thread_pool.hpp"
 #include "protocols/agreement.hpp"
+#include "protocols/coloring.hpp"
 #include "protocols/matching.hpp"
 #include "protocols/sum_not_two.hpp"
 
@@ -23,6 +24,18 @@ double ms_of(const std::function<void()>& fn) {
   fn();
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+/// Every verdict of a full check, witness cycle included.
+bool same_result(const GlobalCheckResult& a, const GlobalCheckResult& b) {
+  return a.num_deadlocks_outside_i == b.num_deadlocks_outside_i &&
+         a.deadlock_samples == b.deadlock_samples &&
+         a.has_livelock == b.has_livelock &&
+         a.livelock_cycle == b.livelock_cycle &&
+         a.closure_ok == b.closure_ok &&
+         a.closure_violation == b.closure_violation &&
+         a.weakly_converges == b.weakly_converges &&
+         a.max_recovery_steps == b.max_recovery_steps;
 }
 
 void report() {
@@ -166,7 +179,7 @@ void symmetry_report() {
 // EXP-S1b — the parallel global-state engine: invariant-mask + deadlock
 // sweep throughput at 1..N threads, on an instance past the seed engine's
 // comfortable budget. Returns the per-thread rows; report_all() folds them
-// into BENCH_global_engine.json together with the EXP-S1d table.
+// into BENCH_global_engine.json together with the EXP-S1d/S1e tables.
 std::vector<bench::Json> global_engine_report() {
   bench::header(
       "EXP-S1b", "parallel global-state engine",
@@ -247,18 +260,6 @@ std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
       benchmark::DoNotOptimize(&out);
     });
   };
-  auto same_result = [](const GlobalCheckResult& a,
-                        const GlobalCheckResult& b) {
-    return a.num_deadlocks_outside_i == b.num_deadlocks_outside_i &&
-           a.deadlock_samples == b.deadlock_samples &&
-           a.has_livelock == b.has_livelock &&
-           a.livelock_cycle == b.livelock_cycle &&
-           a.closure_ok == b.closure_ok &&
-           a.closure_violation == b.closure_violation &&
-           a.weakly_converges == b.weakly_converges &&
-           a.max_recovery_steps == b.max_recovery_steps;
-  };
-
   GlobalCheckResult base;
   std::vector<bench::Json> runs;
   double base_sps = 0.0;
@@ -295,6 +296,67 @@ std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
   return runs;
 }
 
+// EXP-S1e — the full verdict of a livelocked ring, where the residue SCC
+// carries the time: three-coloring with rotating fixes leaves ~57% of the
+// states at K=13 unpeeled, split into ~900k components. The residue SCC is
+// one serial Tarjan, linear in the residue's edges, so the rows should grow
+// with |D|^K and not faster. Each K runs at 1 and 4 lanes; every run's
+// check_all (witness included) must equal the 1-lane run or the bench
+// throws. RINGSTAB_BENCH_SMOKE=1 shrinks K to 8..10 for the CI smoke job
+// (K=10 stays, so its rows pair with the committed ones in a perf diff).
+std::vector<bench::Json> livelock_verdict_report(bool smoke) {
+  bench::header(
+      "EXP-S1e", "full verdict of a livelocked ring",
+      "a livelock is a cycle outside I (Proposition 2.1); the ¬I verdict "
+      "tail finds it with one linear-time Tarjan over the peel's residue");
+
+  const Protocol p = protocols::three_coloring_rotation();
+  std::vector<bench::Json> runs;
+  for (std::size_t k = smoke ? 8 : 10; k <= (smoke ? 10u : 13u); ++k) {
+    const RingInstance ring(p, k);
+    GlobalCheckResult base;
+    double base_ms = 0.0;
+    for (const std::size_t t : {1u, 4u}) {
+      GlobalCheckResult res;
+      std::size_t on_cycle = 0;
+      const double ms = ms_of([&] {
+        const GlobalChecker checker(ring, t);
+        res = checker.check_all();
+        on_cycle = checker.livelock_states().size();
+      });
+      if (t == 1) {
+        base = res;
+        base_ms = ms;
+        if (!base.has_livelock)
+          throw ModelError(cat("EXP-S1e: no livelock at K=", k));
+      } else if (!same_result(res, base)) {
+        throw ModelError(cat("EXP-S1e: the run at ", t,
+                             " lanes disagrees with the 1-lane run at K=",
+                             k));
+      }
+      std::cout << "  K=" << k << " (" << ring.num_states() << " states), "
+                << t << " lane(s): " << ms << " ms, " << on_cycle
+                << " states on a cycle, witness length "
+                << res.livelock_cycle.size() << "\n";
+      runs.push_back(bench::Json()
+                         .put("ring_size", k)
+                         .put("num_states", ring.num_states())
+                         .put("threads", t)
+                         .put("ms", ms)
+                         .put("speedup_vs_1", base_ms / ms)
+                         .put("states_on_cycle", on_cycle)
+                         .put("witness_length", res.livelock_cycle.size()));
+    }
+  }
+  bench::note(cat(
+      "each timing is check_all plus the livelock-state query; results "
+      "are asserted bit-identical at 1 and 4 lanes (",
+      resolve_threads(0), " hardware lane(s) here)",
+      smoke ? " — SMOKE RUN, tiny K" : ""));
+  bench::footer();
+  return runs;
+}
+
 void report_all() {
   report();
   const std::vector<bench::Json> sweep_runs = global_engine_report();
@@ -305,6 +367,8 @@ void report_all() {
   const RingInstance ring(p, k, GlobalStateId{1} << 27);
   const std::vector<bench::Json> verdict_runs =
       full_verdict_report(ring, smoke);
+  const std::vector<bench::Json> livelock_runs =
+      livelock_verdict_report(smoke);
 
   bench::write_bench_json(
       "BENCH_global_engine.json",
@@ -320,7 +384,12 @@ void report_all() {
           .put("full_verdict_smoke", smoke)
           .put("full_verdict_sweep",
                "check_all: two decode passes + the ¬I verdict tail")
-          .put("full_verdict_runs", verdict_runs));
+          .put("full_verdict_runs", verdict_runs)
+          .put("livelock_verdict_protocol",
+               protocols::three_coloring_rotation().name())
+          .put("livelock_verdict_sweep",
+               "check_all + livelock_states at 1 and 4 lanes, by ring size")
+          .put("livelock_verdict_runs", livelock_runs));
   symmetry_report();
 }
 

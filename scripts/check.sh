@@ -2,7 +2,7 @@
 # Tier-1 gate + sanitized builds.
 #
 #   scripts/check.sh            full: build, ctest, TSan test_parallel+test_obs
-#                               +test_parallel_scc+test_differential
+#                               +test_scc+test_differential
 #                               +test_synthesis_parallel+test_serve,
 #                               ASan test_symmetry + CLI
 #                               parsing/synthesis/lint tests, UBSan
@@ -32,22 +32,22 @@ if [[ "$mode" != "--tsan" ]]; then
   fi
 fi
 
-echo "== TSan: build test_parallel + test_parallel_scc + test_differential + test_obs + test_synthesis_parallel + test_serve =="
+echo "== TSan: build test_parallel + test_scc + test_differential + test_obs + test_synthesis_parallel + test_serve =="
 cmake -B "$repo/build-tsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
-      --target test_parallel test_parallel_scc test_differential test_obs \
+      --target test_parallel test_scc test_differential test_obs \
                test_synthesis_parallel test_serve
 
 echo "== TSan: run =="
 "$repo/build-tsan/tests/test_parallel"
-# FB/FWBW decomposition, the checker's decode passes, and the quotient SCC
-# port: the randomized cross-validation plus the zoo sweeps drive every
-# atomic (frontier dedup, transpose fill cursors, rank-space mask writes).
-"$repo/build-tsan/tests/test_parallel_scc"
+# The checker's decode passes and the quotient port at 1 vs 4 lanes: the
+# zoo sweeps drive every atomic (frontier dedup, transpose fill cursors,
+# rank-space mask writes) on the way to the serial SCC.
+"$repo/build-tsan/tests/test_scc"
 # The ¬I verdict tail at 4 lanes against the brute-force oracle: the peel's
 # atomic out-degree decrements, its per-level frontier merges, and the
-# residue sweep and compaction.
+# residue sweep.
 "$repo/build-tsan/tests/test_differential"
 "$repo/build-tsan/tests/test_obs"
 # The zoo-wide bit-identity sweeps re-run full synthesis dozens of times and

@@ -49,8 +49,8 @@ struct GlobalCheckResult {
 /// CSR over ¬I *ranks* (popcount-indexed into the invariant mask) plus a
 /// steps-into-I bitset. Livelock, weak convergence and the recovery bound
 /// then come out of the shared ¬I verdict tail (graph/peel.hpp): one
-/// out-degree peel of the CSR, a backward sweep over its residue, and the
-/// FB/FWBW SCC on the residue only. Each stage runs once and is cached, so
+/// out-degree peel of the CSR, a backward sweep over its residue, and a
+/// serial Tarjan over the residue only. Each stage runs once and is cached, so
 /// after find_livelock() the weak-convergence and recovery queries are
 /// reads.
 ///

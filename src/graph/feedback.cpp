@@ -20,7 +20,7 @@ std::optional<Cycle> bad_cycle(const Digraph& g, const std::vector<bool>& marked
   const SccResult scc = strongly_connected_components(sub);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (!keep[v] || !marked[v]) continue;
-    if (!on_cycle(sub, scc, v)) continue;
+    if (!scc.on_cycle(v)) continue;
     auto c = find_cycle_through(sub, v);
     RINGSTAB_ASSERT(c.has_value(), "SCC says cycle exists but DFS found none");
     return c;

@@ -1,7 +1,6 @@
 #include "graph/peel.hpp"
 
 #include <atomic>
-#include <bit>
 #include <numeric>
 
 #include "core/types.hpp"
@@ -62,46 +61,6 @@ bool residue_reaches_inv(const CsrGraph& g, const CsrGraph& tr,
         });
   }
   return count == residue;
-}
-
-/// The residue as its own CSR: vertex i is the i-th unpeeled vertex, edges
-/// onto peeled vertices are dropped (they lie on no cycle), and the rest
-/// keep their order. The relabeling is monotone, so canonical min-member
-/// SCC labels and the witness DFS match those of the whole graph.
-CsrGraph compact_residue(const CsrGraph& g, const PackedBitset& peeled,
-                         const std::vector<std::uint32_t>& ids,
-                         std::size_t num_threads) {
-  // word_rank[w] = residue vertices in words [0, w): a rank is one prefix
-  // read plus one popcount. (The last word's slack bits count as residue,
-  // but only the prefix past that word would see them.)
-  std::vector<std::uint32_t> word_rank(peeled.num_words() + 1, 0);
-  for (std::uint64_t w = 0; w < peeled.num_words(); ++w)
-    word_rank[w + 1] = word_rank[w] + static_cast<std::uint32_t>(
-                                          std::popcount(~peeled.word(w)));
-  auto rank = [&](std::uint32_t v) {
-    const std::uint64_t below = (std::uint64_t{1} << (v & 63)) - 1;
-    return word_rank[v >> 6] + static_cast<std::uint32_t>(std::popcount(
-                                   ~peeled.word(v >> 6) & below));
-  };
-  CsrGraph sub;
-  sub.row.assign(ids.size() + 1, 0);
-  parallel_for(ids.size(), num_threads, 0,
-               [&](const ChunkRange& chunk, std::size_t) {
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i)
-      for (std::uint64_t e = g.row[ids[i]]; e < g.row[ids[i] + 1]; ++e)
-        if (!peeled.test(g.col[e])) ++sub.row[i + 1];
-  });
-  std::partial_sum(sub.row.begin(), sub.row.end(), sub.row.begin());
-  sub.col.resize(sub.row.back());
-  parallel_for(ids.size(), num_threads, 0,
-               [&](const ChunkRange& chunk, std::size_t) {
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-      std::uint64_t out = sub.row[i];
-      for (std::uint64_t e = g.row[ids[i]]; e < g.row[ids[i] + 1]; ++e)
-        if (!peeled.test(g.col[e])) sub.col[out++] = rank(g.col[e]);
-    }
-  });
-  return sub;
 }
 
 }  // namespace
@@ -193,31 +152,33 @@ VerdictTail verdict_tail(const CsrGraph& g, const PackedBitset& to_inv,
           out.acyclic() ||
           residue_reaches_inv(g, tr, to_inv, peeled, out.residue, num_threads);
     }
-  }  // the tail's transpose dies before the residue SCC builds its own
+  }  // the transpose is released before the SCC allocates its arrays
   obs::counter("tail.peeled").add(n - out.residue);
   obs::counter("tail.levels").add(out.levels);
   obs::counter("tail.residue").add(out.residue);
   if (out.acyclic()) return out;
 
-  std::vector<std::uint32_t> ids;  // residue index -> vertex, when compacted
-  CsrGraph sub;
-  if (out.residue < n) {
-    ids = vertices_where(n, num_threads,
-                         [&](std::uint32_t v) { return !peeled.test(v); });
-    sub = compact_residue(g, peeled, ids, num_threads);
-  }
-  const CsrGraph& graph = ids.empty() ? g : sub;
-  auto vertex = [&](std::uint32_t i) { return ids.empty() ? i : ids[i]; };
-  const ParallelSccResult scc = parallel_scc(graph, num_threads);
+  const obs::Span scc_span("tail.scc");
+  const SccResult scc = strongly_connected_components(g, &peeled);
+  obs::counter("scc.vertices").add(scc.vertices_visited);
+  obs::counter("scc.edges_scanned").add(scc.edges_scanned);
   std::uint32_t start = kNone;
-  for (std::uint32_t i = 0; i < graph.num_vertices(); ++i)
-    if (scc.on_cycle(i)) {
-      out.on_cycle.set(vertex(i));
-      if (start == kNone) start = i;
+  for (std::uint32_t v = 0; v < n; ++v)
+    if (scc.on_cycle(v)) {
+      out.on_cycle.set(v);
+      if (start == kNone) start = v;
     }
   RINGSTAB_ASSERT(start != kNone, "a nonempty residue holds a cycle");
-  for (const std::uint32_t i : extract_component_cycle(graph, scc, start))
-    out.witness.push_back(vertex(i));
+  out.witness = extract_component_cycle(g, scc, start);
+  if (obs::enabled()) {
+    // SCC size distribution over the residue. Labels are canonical
+    // min-member ids, so this is problem-shaped: the merged histogram must
+    // match at 1 vs N lanes (test_obs locks this in over the zoo).
+    obs::Histogram& region_size = obs::histogram("scc.region_size");
+    for (std::uint32_t v = 0; v < n; ++v)
+      if (!peeled.test(v) && scc.component_size[v] > 0)
+        region_size.record(scc.component_size[v]);
+  }
   return out;
 }
 

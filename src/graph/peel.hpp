@@ -17,15 +17,14 @@
 //  * peeled states reach I unless a deadlock exists, so weak convergence
 //    is "no deadlock, and a backward sweep from the residue's exits covers
 //    the residue".
-// Livelock witnesses come from the FB/FWBW engine (parallel_scc.hpp) run on
-// the residue alone, compacted in ascending order so its canonical
-// min-member labels — and the witness cycle — are those of the whole graph.
+// Livelock witnesses come from the one Tarjan (graph/scc.hpp) run over the
+// CSR with the peeled vertices skipped, so it visits the residue alone.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "graph/parallel_scc.hpp"
+#include "graph/scc.hpp"
 #include "parallel/bitset.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -93,8 +92,7 @@ struct VerdictTail {
 };
 
 /// Run the tail on the ¬I CSR `g`, where `to_inv[v]` marks the vertices with
-/// a move into I. The tail's transpose is released before the residue SCC
-/// builds its own, so at most one transpose is alive at a time.
+/// a move into I.
 VerdictTail verdict_tail(const CsrGraph& g, const PackedBitset& to_inv,
                          std::size_t num_threads);
 

@@ -110,9 +110,9 @@ TEST(Differential, ZooRingsMatchOracle) {
     for (std::size_t k = 2; k <= 8; ++k) check_ring(p, k);
 }
 
-// At K=10 the peel's frontiers and the residue's FB regions span several
-// chunks, so the atomic decrements, frontier merges and residue compaction
-// run on several lanes (scripts/check.sh runs this file under TSan).
+// At K=10 the peel's frontiers and the residue sweep span several
+// chunks, so the atomic decrements and frontier merges run on several
+// lanes (scripts/check.sh runs this file under TSan).
 TEST(Differential, TenProcessRingsMatchOracle) {
   check_ring(protocols::sum_not_two_solution(), 10);
   check_ring(protocols::three_coloring_rotation(), 10);

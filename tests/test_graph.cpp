@@ -72,15 +72,15 @@ TEST(Scc, ChainIsAllSingletons) {
   g.add_arc(2, 3);
   const auto scc = strongly_connected_components(g);
   EXPECT_EQ(scc.num_components, 4u);
-  for (VertexId v = 0; v < 4; ++v) EXPECT_FALSE(on_cycle(g, scc, v));
+  for (VertexId v = 0; v < 4; ++v) EXPECT_FALSE(scc.on_cycle(v));
 }
 
 TEST(Scc, SelfLoopIsOnCycle) {
   Digraph g(2);
   g.add_arc(0, 0);
   const auto scc = strongly_connected_components(g);
-  EXPECT_TRUE(on_cycle(g, scc, 0));
-  EXPECT_FALSE(on_cycle(g, scc, 1));
+  EXPECT_TRUE(scc.on_cycle(0));
+  EXPECT_FALSE(scc.on_cycle(1));
 }
 
 TEST(Scc, TwoComponents) {
@@ -125,7 +125,7 @@ TEST(Scc, MatchesBruteForceOnRandomGraphs) {
         seen[u] = true;
         for (VertexId w : g.out(u)) stack.push_back(w);
       }
-      EXPECT_EQ(on_cycle(g, scc, v), reaches_self) << "trial " << trial;
+      EXPECT_EQ(scc.on_cycle(v), reaches_self) << "trial " << trial;
     }
   }
 }

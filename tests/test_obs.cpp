@@ -14,6 +14,7 @@
 #include "obs/metrics_json.hpp"
 #include "obs/obs.hpp"
 #include "obs/sinks.hpp"
+#include "oracle.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ringstab {
@@ -105,6 +106,7 @@ TEST(ObsCounter, CheckerCountersMatchSerialUnderFourThreads) {
       "checker.states_swept", "checker.invariant_states",
       "checker.deadlocks_found", "checker.graph_edges",
       "tail.peeled", "tail.levels", "tail.residue",
+      "scc.vertices", "scc.edges_scanned",
   };
   for (const Protocol& p : testing::protocol_zoo()) {
     RingInstance ring(p, 5);
@@ -119,6 +121,57 @@ TEST(ObsCounter, CheckerCountersMatchSerialUnderFourThreads) {
     for (std::size_t i = 0; i < std::size(kInvariant); ++i)
       EXPECT_EQ(obs::counter(kInvariant[i]).total(), serial[i])
           << p.name() << ": " << kInvariant[i];
+  }
+}
+
+/// The residue SCC is linear: scc.vertices is the residue — the states
+/// outside I that can reach a cycle outside I, computed here from the
+/// brute-force oracle's on-cycle states — and scc.edges_scanned counts
+/// their moves that stay outside I, each read exactly once.
+TEST(ObsCounter, SccScansEachResidueEdgeOnce) {
+  const ObsGuard guard;
+  for (const Protocol& p : testing::protocol_zoo()) {
+    for (const std::size_t k : {4u, 6u}) {
+      const RingInstance ring(p, k);
+      const GlobalStateId n = ring.num_states();
+      std::vector<std::vector<GlobalStateId>> pred(n);
+      std::vector<std::uint64_t> out(n, 0);
+      std::vector<RingInstance::Step> steps;
+      for (GlobalStateId s = 0; s < n; ++s) {
+        if (ring.in_invariant(s)) continue;
+        ring.successors(s, steps);
+        for (const RingInstance::Step& step : steps)
+          if (!ring.in_invariant(step.target)) {
+            pred[step.target].push_back(s);
+            ++out[s];
+          }
+      }
+      std::vector<GlobalStateId> stack = testing::oracle(ring).livelock_states;
+      std::vector<bool> residue(n, false);
+      for (const GlobalStateId s : stack) residue[s] = true;
+      while (!stack.empty()) {
+        const GlobalStateId s = stack.back();
+        stack.pop_back();
+        for (const GlobalStateId u : pred[s])
+          if (!residue[u]) {
+            residue[u] = true;
+            stack.push_back(u);
+          }
+      }
+      std::uint64_t vertices = 0, edges = 0;
+      for (GlobalStateId s = 0; s < n; ++s)
+        if (residue[s]) {
+          ++vertices;
+          edges += out[s];
+        }
+
+      obs::Registry::global().reset_counters();
+      GlobalChecker(ring, 1).check_all();
+      EXPECT_EQ(obs::counter("scc.vertices").total(), vertices)
+          << p.name() << " K=" << k;
+      EXPECT_EQ(obs::counter("scc.edges_scanned").total(), edges)
+          << p.name() << " K=" << k;
+    }
   }
 }
 
