@@ -2,9 +2,10 @@
 # Tier-1 gate + sanitized builds.
 #
 #   scripts/check.sh            full: build, ctest, TSan test_parallel+test_obs
-#                               +test_scc+test_differential
+#                               +test_scc+test_differential+test_state_space
 #                               +test_synthesis_parallel+test_serve,
-#                               ASan test_symmetry + CLI
+#                               ASan test_symmetry+test_differential
+#                               +test_state_space+test_array+test_tree + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
 #   scripts/check.sh --fast     tier-1 only (skip the sanitizer builds)
@@ -32,12 +33,12 @@ if [[ "$mode" != "--tsan" ]]; then
   fi
 fi
 
-echo "== TSan: build test_parallel + test_scc + test_differential + test_obs + test_synthesis_parallel + test_serve =="
+echo "== TSan: build test_parallel + test_scc + test_differential + test_state_space + test_obs + test_synthesis_parallel + test_serve =="
 cmake -B "$repo/build-tsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
-      --target test_parallel test_scc test_differential test_obs \
-               test_synthesis_parallel test_serve
+      --target test_parallel test_scc test_differential test_state_space \
+               test_obs test_synthesis_parallel test_serve
 
 echo "== TSan: run =="
 "$repo/build-tsan/tests/test_parallel"
@@ -49,6 +50,9 @@ echo "== TSan: run =="
 # atomic out-degree decrements, its per-level frontier merges, and the
 # residue sweep.
 "$repo/build-tsan/tests/test_differential"
+# The census → ¬I CSR build at 4 lanes: chunk-private mask words, the
+# shared steps-into-I words (set_atomic) and the parallel CSR copy.
+"$repo/build-tsan/tests/test_state_space"
 "$repo/build-tsan/tests/test_obs"
 # The zoo-wide bit-identity sweeps re-run full synthesis dozens of times and
 # take minutes under TSan; the remaining tests drive every concurrent code
@@ -67,14 +71,21 @@ if [[ "$mode" == "--tsan" ]]; then
   exit 0
 fi
 
-echo "== ASan: build test_symmetry + CLI tools =="
+echo "== ASan: build test_symmetry + test_differential + test_state_space + test_array + test_tree + CLI tools =="
 cmake -B "$repo/build-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" \
-      --target test_symmetry ringstab_cli ringstab_batch
+      --target test_symmetry test_differential test_state_space test_array \
+               test_tree ringstab_cli ringstab_batch
 
 echo "== ASan: run =="
-"$repo/build-asan/tests/test_symmetry"
+# Every explicit-state engine goes through the one census → ¬I CSR build
+# (global/state_space.hpp); its rank and CSR indexing, and the array/tree
+# window tables, are what ASan is here to watch.
+for t in test_symmetry test_differential test_state_space test_array \
+         test_tree; do
+  "$repo/build-asan/tests/$t"
+done
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 

@@ -1,26 +1,23 @@
-// Explicit-state view of an array (open chain) protocol instance: the
-// ground truth for the array extension of Theorem 4.2.
+// Explicit-state views of array (open chain) and in-tree protocol
+// instances: the ground truth for the array extension of Theorem 4.2.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
 
-#include "graph/peel.hpp"
 #include "local/array.hpp"
 
 namespace ringstab {
 
-/// An array of `n` processes running an array protocol (domain's last value
-/// reserved as ⊥; see local/array.hpp). Global states range over the REAL
-/// values only: |D−1|^n codes.
-class ArrayInstance {
+/// n processes running an array-convention protocol (domain's last value
+/// reserved as ⊥; see local/array.hpp), each reading the variables its row
+/// of a window table names, with ⊥ wherever the row names no process.
+/// Global states range over the REAL values only: |D−1|^n codes.
+/// ArrayInstance and TreeInstance differ only in that table.
+class WindowInstance {
  public:
-  ArrayInstance(Protocol protocol, std::size_t length,
-                GlobalStateId max_states = GlobalStateId{1} << 24);
-
   const Protocol& protocol() const { return protocol_; }
-  std::size_t length() const { return n_; }
   GlobalStateId num_states() const { return num_states_; }
 
   Value value(GlobalStateId s, std::size_t i) const {
@@ -29,7 +26,7 @@ class ArrayInstance {
   std::vector<Value> decode(GlobalStateId s) const;
   GlobalStateId encode(std::span<const Value> values) const;
 
-  /// Local state of process i (window padded with ⊥ past the ends).
+  /// Local state of process i (its window, ⊥ where the table says so).
   LocalStateId local_state(GlobalStateId s, std::size_t i) const;
 
   bool in_invariant(GlobalStateId s) const;
@@ -44,12 +41,78 @@ class ArrayInstance {
 
   std::string brief(GlobalStateId s) const;
 
+  /// Decoder behind every query: holds the digits of a state (plus a
+  /// trailing ⊥ slot the window table points at). Dense sweeps advance it
+  /// by one with a carry, so no state costs a division.
+  class Cursor {
+   public:
+    Cursor(const WindowInstance& inst, GlobalStateId start);
+
+    GlobalStateId state() const { return s_; }
+    void advance();
+
+    /// Local state of process i: a Horner sum over its window's digits.
+    LocalStateId local_state(std::size_t i) const;
+
+    /// Calls emit(step) for every successor of the current state, in
+    /// successors() order, and returns whether the state is in I: one walk
+    /// over the processes, each local state computed once.
+    template <class Emit>
+    bool expand(const Emit& emit) const {
+      const Protocol& p = inst_->protocol_;
+      bool legit = true;
+      for (std::size_t i = 0; i < inst_->n_; ++i) {
+        const LocalStateId ls = local_state(i);
+        legit = legit && p.is_legit(ls);
+        for (const LocalTransition& t : p.transitions_from(ls))
+          emit(Step{inst_->step_target(s_, i, t), i, t});
+      }
+      return legit;
+    }
+
+   private:
+    const WindowInstance* inst_;
+    GlobalStateId s_;
+    std::vector<Value> digits_;  // n real digits, then ⊥
+  };
+
+ protected:
+  /// Validates `protocol` as an array protocol; seat() finishes the job.
+  explicit WindowInstance(Protocol protocol);
+
+  /// Seats n processes: window[i * w + p] is the process whose variable
+  /// process i reads at window position p (offsets -left..right, w of
+  /// them), or n for ⊥. Throws CapacityError when |D−1|^n exceeds
+  /// `max_states`.
+  void seat(std::size_t n, std::vector<std::uint32_t> window,
+            GlobalStateId max_states);
+
+  std::size_t num_processes() const { return n_; }
+
  private:
+  GlobalStateId step_target(GlobalStateId s, std::size_t i,
+                            const LocalTransition& t) const {
+    const auto& space = protocol_.space();
+    return s + pow_[i] * space.self(t.to) - pow_[i] * space.self(t.from);
+  }
+
   Protocol protocol_;
-  std::size_t n_;
+  std::size_t n_ = 0;
   std::size_t real_d_;  // |D| − 1 (⊥ excluded from real variables)
-  GlobalStateId num_states_;
-  std::vector<GlobalStateId> pow_;
+  GlobalStateId num_states_ = 0;
+  std::vector<GlobalStateId> pow_;     // (|D|−1)^i, the state place values
+  std::vector<LocalStateId> lpow_;     // |D|^p over the window
+  std::vector<std::uint32_t> window_;  // window_[i*w + p]: process or n (⊥)
+};
+
+/// An array of `length` processes: process i reads i-left .. i+right, ⊥ past
+/// either end.
+class ArrayInstance : public WindowInstance {
+ public:
+  ArrayInstance(Protocol protocol, std::size_t length,
+                GlobalStateId max_states = GlobalStateId{1} << 24);
+
+  std::size_t length() const { return num_processes(); }
 };
 
 /// Exhaustive verdicts for array and tree instances.
@@ -59,55 +122,15 @@ struct ArrayCheckResult {
   bool terminates = false;  // no infinite computation at all
 };
 
-/// The exhaustive check shared by arrays and trees, over any instance with
-/// num_states(), in_invariant(s) and successors(s, steps): one successor
-/// pass builds the ¬I CSR (for the ¬I verdict tail of graph/peel.hpp:
-/// deadlocks and livelock) and the whole transition CSR, whose out-degree
-/// peel decides termination.
-template <class Instance>
-ArrayCheckResult check_explicit(const Instance& inst) {
-  const GlobalStateId n = inst.num_states();
-  if (n >> 32) throw CapacityError("explicit check: more than 2^32 states");
-  PackedBitset inv(n);
-  std::vector<std::uint32_t> rank(n);  // ¬I rank of each ¬I state
-  std::uint32_t nni = 0;
-  for (GlobalStateId s = 0; s < n; ++s) {
-    inv.set(s, inst.in_invariant(s));
-    rank[s] = nni;
-    if (!inv.test(s)) ++nni;
-  }
-  CsrGraph all, outside;
-  PackedBitset to_inv(nni);
-  all.row.assign(n + 1, 0);
-  outside.row.assign(nni + 1, 0);
-  std::vector<typename Instance::Step> succ;
-  for (GlobalStateId s = 0; s < n; ++s) {
-    inst.successors(s, succ);
-    for (const auto& step : succ)
-      all.col.push_back(static_cast<std::uint32_t>(step.target));
-    all.row[s + 1] = all.col.size();
-    if (inv.test(s)) continue;
-    for (const auto& step : succ)
-      if (inv.test(step.target))
-        to_inv.set(rank[s]);
-      else
-        outside.col.push_back(rank[step.target]);
-    outside.row[rank[s] + 1] = outside.col.size();
-  }
+/// The exhaustive check shared by arrays and trees: one successor pass
+/// (the census → ¬I CSR build of global/state_space.hpp with nothing
+/// projected out) builds the whole transition CSR and records I membership
+/// on the way. The ¬I verdict tail's peel of the whole graph decides
+/// termination; the one Tarjan with I skipped decides livelock outside I.
+ArrayCheckResult check_explicit(const WindowInstance& inst);
 
-  ArrayCheckResult res;
-  const VerdictTail tail = verdict_tail(outside, to_inv, 1);
-  res.num_deadlocks_outside_i = tail.num_deadlocks;
-  res.has_livelock = !tail.acyclic();
-  // Termination: no cycle anywhere, i.e. the whole graph peels away.
-  std::vector<std::uint32_t> degree(n);
-  for (GlobalStateId s = 0; s < n; ++s)
-    degree[s] = static_cast<std::uint32_t>(all.row[s + 1] - all.row[s]);
-  res.terminates =
-      peel(transpose(all, 1), std::move(degree), 1).num_peeled == n;
-  return res;
+inline ArrayCheckResult check_array(const ArrayInstance& inst) {
+  return check_explicit(inst);
 }
-
-ArrayCheckResult check_array(const ArrayInstance& inst);
 
 }  // namespace ringstab

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "global/ring_instance.hpp"
+#include "global/state_space.hpp"
 #include "graph/peel.hpp"
 #include "parallel/bitset.hpp"
 
@@ -42,13 +43,14 @@ struct GlobalCheckResult {
 
 /// Exhaustive checker over |D|^K global states.
 ///
-/// The state space is decoded exactly twice per full verdict. Pass 1
-/// classifies every state (invariant membership + deadlock census) in one
-/// cursor sweep. Pass 2 walks successors once, recording the first closure
-/// violation of I and materializing the ¬I transition graph as a compact
-/// CSR over ¬I *ranks* (popcount-indexed into the invariant mask) plus a
-/// steps-into-I bitset. Livelock, weak convergence and the recovery bound
-/// then come out of the shared ¬I verdict tail (graph/peel.hpp): one
+/// The ring is an adapter of the shared census → ¬I CSR build
+/// (global/state_space.hpp), so the state space is decoded exactly twice
+/// per full verdict, both times by the rolling cursor. Pass 1 classifies
+/// every state (invariant membership + deadlock census). Pass 2 walks
+/// successors once, recording the first closure violation of I and
+/// materializing the ¬I transition graph as a compact CSR over ¬I *ranks*
+/// plus a steps-into-I bitset. Livelock, weak convergence and the recovery
+/// bound then come out of the shared ¬I verdict tail (graph/peel.hpp): one
 /// out-degree peel of the CSR, a backward sweep over its residue, and a
 /// serial Tarjan over the residue only. Each stage runs once and is cached, so
 /// after find_livelock() the weak-convergence and recovery queries are
@@ -105,32 +107,15 @@ class GlobalChecker {
   static constexpr std::size_t kMaxCachedSamples = 8;
 
   // Pipeline stages, each cached after the first call.
-  void ensure_masks() const;  // pass 1: invariant mask + deadlock census
-  void ensure_graph() const;  // pass 2: closure + ¬I CSR + rank tables
-  const VerdictTail& tail() const;  // peel / reach / residue SCC
-  std::uint32_t rank_of(GlobalStateId s) const;
+  const SpaceCensus& census() const;  // pass 1: invariant mask + deadlocks
+  const NotInvGraph& graph() const;   // pass 2: closure + ¬I CSR
+  const VerdictTail& tail() const;    // peel / reach / residue SCC
 
   const RingInstance* ring_;
   std::size_t num_threads_;
 
-  // Pass 1 products.
-  mutable bool census_done_ = false;
-  mutable PackedBitset inv_mask_;
-  mutable std::size_t deadlock_count_ = 0;
-  mutable std::vector<GlobalStateId> deadlock_samples_;  // first 8, ascending
-
-  // Pass 2 products. The CSR is over ¬I ranks: state s outside I has
-  // rank = #{t < s : t outside I}; word_rank_ holds the per-word prefix so
-  // rank_of() is one popcount. Edges into I are dropped from the CSR and
-  // recorded in to_inv_ instead.
-  mutable bool graph_built_ = false;
-  mutable CsrGraph csr_;
-  mutable PackedBitset to_inv_;
-  mutable std::vector<std::uint64_t> word_rank_;
-  mutable std::vector<GlobalStateId> ni_ids_;  // rank -> global state id
-  mutable std::optional<std::pair<GlobalStateId, GlobalStateId>>
-      closure_violation_;
-
+  mutable std::optional<SpaceCensus> census_;
+  mutable std::optional<NotInvGraph> graph_;
   mutable std::optional<VerdictTail> tail_;
 };
 

@@ -1,11 +1,14 @@
 // A parameterized protocol instantiated on a concrete ring of size K.
 #pragma once
 
+#include <concepts>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "global/state_space.hpp"  // the builder cursor's vocabulary
 #include "local/precedence.hpp"  // ScheduledStep
 
 namespace ringstab {
@@ -35,10 +38,6 @@ class RingInstance {
   std::size_t ring_size() const { return k_; }
   GlobalStateId num_states() const { return num_states_; }
   std::size_t domain_size() const { return d_; }
-
-  /// Bits returned by Cursor::classify().
-  static constexpr std::uint8_t kClassInvariant = 1;  // s ∈ I(K)
-  static constexpr std::uint8_t kClassDeadlock = 2;   // no process enabled
 
   Value value(GlobalStateId s, std::size_t i) const {
     return static_cast<Value>((s / pow_[i]) % d_);
@@ -112,7 +111,6 @@ class RingInstance {
     }
 
     GlobalStateId state() const { return s_; }
-    const std::vector<Value>& digits() const { return digits_; }
 
     /// Move to state s+1 (carry-propagating increment of the digits).
     void advance() {
@@ -155,20 +153,29 @@ class RingInstance {
       }
       return out;
     }
-    std::size_t num_enabled() const {
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < digits_.size(); ++i)
-        if (ring_->enabled_local(local_state(i))) ++n;
-      return n;
-    }
     void successors(std::vector<Step>& out) const {
       ring_->successors_from(s_, digits_.data(), out);
+    }
+
+    // The builder's cursor (global/state_space.hpp): the ring's CSR rows
+    // keep successor order, duplicates included.
+    template <std::invocable<GlobalStateId> Emit>
+    void successors(const Emit& emit) {
+      ring_->successors_from(s_, digits_.data(), succ_);
+      for (const Step& step : succ_) emit(step.target);
+    }
+    std::optional<Transition> escape(const PackedBitset& inv) {
+      ring_->successors_from(s_, digits_.data(), succ_);
+      for (const Step& step : succ_)
+        if (!inv.test(step.target)) return Transition{s_, step.target};
+      return std::nullopt;
     }
 
    private:
     const RingInstance* ring_;
     GlobalStateId s_;
     std::vector<Value> digits_;
+    std::vector<Step> succ_;  // scratch for the builder's calls
   };
 
   Cursor cursor(GlobalStateId start = 0) const { return Cursor(*this, start); }

@@ -5,34 +5,13 @@
 
 #include "core/fmt.hpp"
 #include "global/necklace.hpp"
+#include "global/state_space.hpp"
 #include "graph/peel.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ringstab {
 namespace {
-
-constexpr std::uint32_t kUnvisited = 0xffffffffu;
-
-/// Dense view of the rotation quotient: necklaces in ascending canonical-id
-/// order, their flags, and the ¬I transition graph as a CSR over ¬I ranks
-/// (the i-th necklace outside I has rank i). Targets are canonicalized,
-/// deduplicated and kept in ascending order per source; edges into I are
-/// dropped from the CSR and recorded in to_inv instead.
-struct Quotient {
-  std::vector<GlobalStateId> ids;
-  std::vector<std::uint8_t> flags;  // 1 iff the necklace is in I
-  std::vector<std::uint32_t> ni_of;  // ¬I rank -> necklace rank
-  CsrGraph csr;
-  PackedBitset to_inv;
-  /// The transition leaving I from the smallest violating necklace.
-  std::optional<std::pair<GlobalStateId, GlobalStateId>> escape;
-
-  std::uint32_t size() const {
-    return static_cast<std::uint32_t>(ids.size());
-  }
-  bool in_inv(std::uint32_t r) const { return flags[r] != 0; }
-};
 
 /// Chunk grain over the necklace prefix-slot space: a pure function of the
 /// slot count so the chunk partition — and therefore any ascending-order
@@ -43,9 +22,10 @@ std::uint64_t slot_grain(std::uint64_t slots) {
 
 struct CensusBuild {
   NecklaceCensus census;
-  // Filled only when `collect`:
+  // Filled only when `collect`: the necklace ids in ascending order, and
+  // which of them are in I.
   std::vector<GlobalStateId> ids;
-  std::vector<std::uint8_t> flags;
+  PackedBitset inv;
 };
 
 /// One pass of the parallel FKM enumeration: orbit-weighted deadlock census
@@ -110,7 +90,7 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
   for (const Chunk& t : tally) total += t.necklaces;
   if (collect) {
     out.ids.reserve(total);
-    out.flags.reserve(total);
+    out.inv.assign(total);
   }
   for (const Chunk& t : tally) {
     out.census.num_necklaces += t.necklaces;
@@ -120,8 +100,9 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
       if (out.census.deadlock_orbit_reps.size() < max_samples)
         out.census.deadlock_orbit_reps.push_back(id);
     if (collect) {
+      for (std::size_t j = 0; j < t.flags.size(); ++j)
+        if (t.flags[j]) out.inv.set(out.ids.size() + j);
       out.ids.insert(out.ids.end(), t.ids.begin(), t.ids.end());
-      out.flags.insert(out.flags.end(), t.flags.begin(), t.flags.end());
     }
   }
   RINGSTAB_ASSERT(out.census.orbit_states == ring.num_states(),
@@ -133,105 +114,75 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
   return out;
 }
 
-/// One successor pass over the necklaces: the ¬I quotient CSR (successors
-/// canonicalized, ranked, deduplicated) plus the closure check. A necklace
-/// in I only looks for its first successor outside I, and once a chunk has
-/// found one its later I-necklaces are skipped: the merge keeps the
-/// smallest violating necklace, reported as an actual transition.
-void build_quotient_graph(const RingInstance& ring, Quotient& q,
-                          std::size_t num_threads) {
-  const obs::Span span("symmetry.quotient_graph");
-  const std::uint32_t n = q.size();
-  const std::size_t k = ring.ring_size();
-  const auto& space = ring.protocol().space();
-  const std::span<const GlobalStateId> pow{ring.powers()};
+/// The rotation quotient as a builder space: index r is the r-th necklace
+/// in ascending id order. A necklace outside I emits its successors
+/// canonicalized, as necklace indices (binary search over the sorted ids),
+/// sorted and deduplicated. A necklace in I looks for its first move
+/// leaving I with a digit-level test, so no I successor is canonicalized,
+/// and reports it as an actual transition: canonical source, raw target.
+struct QuotientSpace {
+  const RingInstance& ring;
+  const std::vector<GlobalStateId>& ids;
 
-  std::vector<std::uint32_t> ni_rank(n, kUnvisited);  // inverse of ni_of
-  for (std::uint32_t r = 0; r < n; ++r)
-    if (!q.in_inv(r)) {
-      ni_rank[r] = static_cast<std::uint32_t>(q.ni_of.size());
-      q.ni_of.push_back(r);
-    }
-  q.to_inv.assign(q.ni_of.size());
-  auto rank_of = [&](GlobalStateId id) {
-    const auto it = std::lower_bound(q.ids.begin(), q.ids.end(), id);
-    RINGSTAB_ASSERT(it != q.ids.end() && *it == id,
-                    "canonicalized successor is not an enumerated necklace");
-    return static_cast<std::uint32_t>(it - q.ids.begin());
-  };
-  auto digits_in_inv = [&](const std::vector<Value>& digits) {
-    for (std::size_t i = 0; i < k; ++i)
-      if (!ring.legit_local(ring.local_state_from(digits.data(), i)))
-        return false;
-    return true;
-  };
-
-  const std::uint64_t chunks = num_chunks(n, 0);
-  struct Chunk {
-    std::vector<std::uint32_t> deg;  // per ¬I necklace in the chunk
-    std::vector<std::uint32_t> col;
-    std::optional<std::pair<GlobalStateId, GlobalStateId>> escape;
-  };
-  std::vector<Chunk> built(chunks);
-  parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
-    Chunk& c = built[chunk.index];
+  struct Cursor {
+    const QuotientSpace* q;
+    std::uint64_t r;
     std::vector<Value> digits;
     std::vector<RingInstance::Step> succ;
-    std::vector<std::uint32_t> targets;
-    for (std::uint64_t r = chunk.begin; r < chunk.end; ++r) {
-      const bool in_inv = q.in_inv(static_cast<std::uint32_t>(r));
-      if (in_inv && c.escape) continue;
-      ring.decode_into(q.ids[r], digits);
-      ring.successors_from(q.ids[r], digits.data(), succ);
+    std::vector<std::uint64_t> targets;
+
+    void advance() { ++r; }
+
+    template <class Emit>
+    void successors(const Emit& emit) {
+      const RingInstance& ring = q->ring;
+      const std::span<const GlobalStateId> pow{ring.powers()};
       targets.clear();
-      bool into_inv = false;
-      for (const auto& step : succ) {
-        const Value old_self = digits[step.process];
-        digits[step.process] = space.self(step.transition.to);
-        if (in_inv) {
-          if (!digits_in_inv(digits)) {
-            c.escape = {q.ids[r], step.target};
-            break;
-          }
-        } else {
-          const std::uint32_t t =
-              rank_of(canonical_necklace_id(digits.data(), k, pow));
-          if (q.in_inv(t))
-            into_inv = true;
-          else
-            targets.push_back(ni_rank[t]);
-        }
-        digits[step.process] = old_self;
-      }
-      if (in_inv) continue;
+      each_target([&](const RingInstance::Step&) {
+        const GlobalStateId id =
+            canonical_necklace_id(digits.data(), ring.ring_size(), pow);
+        const auto it = std::lower_bound(q->ids.begin(), q->ids.end(), id);
+        RINGSTAB_ASSERT(
+            it != q->ids.end() && *it == id,
+            "canonicalized successor is not an enumerated necklace");
+        targets.push_back(static_cast<std::uint64_t>(it - q->ids.begin()));
+        return false;
+      });
       std::sort(targets.begin(), targets.end());
       targets.erase(std::unique(targets.begin(), targets.end()),
                     targets.end());
-      c.deg.push_back(static_cast<std::uint32_t>(targets.size()));
-      c.col.insert(c.col.end(), targets.begin(), targets.end());
-      // ¬I ranks are not chunk-word-aligned: neighbor chunks share words.
-      if (into_inv) q.to_inv.set_atomic(ni_rank[r]);
+      for (const std::uint64_t t : targets) emit(t);
     }
-  });
 
-  CsrGraph& g = q.csr;
-  g.row.assign(q.ni_of.size() + 1, 0);
-  std::uint64_t rank = 0;
-  for (const Chunk& c : built) {
-    if (!q.escape) q.escape = c.escape;
-    for (const std::uint32_t d : c.deg) {
-      g.row[rank + 1] = g.row[rank] + d;
-      ++rank;
+    std::optional<Transition> escape(const PackedBitset&) {
+      const RingInstance& ring = q->ring;
+      std::optional<Transition> out;
+      each_target([&](const RingInstance::Step& step) {
+        for (std::size_t i = 0; i < ring.ring_size() && !out; ++i)
+          if (!ring.legit_local(ring.local_state_from(digits.data(), i)))
+            out = Transition{q->ids[r], step.target};
+        return out.has_value();
+      });
+      return out;
     }
-  }
-  g.col.reserve(g.row.back());
-  for (const Chunk& c : built)
-    g.col.insert(g.col.end(), c.col.begin(), c.col.end());
-  obs::counter("symmetry.quotient_edges").add(g.num_edges());
-  if (obs::enabled())
-    obs::gauge("mem.csr_bytes")
-        .set(g.row.size() * sizeof(g.row[0]) + g.col.size() * sizeof(g.col[0]));
-}
+
+    /// Calls visit(step) for each move of necklace r, in successor order,
+    /// with `digits` holding the move's target, until visit returns true.
+    template <class Visit>
+    void each_target(const Visit& visit) {
+      const RingInstance& ring = q->ring;
+      ring.decode_into(q->ids[r], digits);
+      ring.successors_from(q->ids[r], digits.data(), succ);
+      for (const auto& step : succ) {
+        const Value old_self = digits[step.process];
+        digits[step.process] = ring.protocol().space().self(step.transition.to);
+        if (visit(step)) return;
+        digits[step.process] = old_self;
+      }
+    }
+  };
+  Cursor cursor(std::uint64_t begin) const { return {this, begin, {}, {}, {}}; }
+};
 
 /// Lift a quotient cycle to a genuine full-space cycle: walk actual
 /// transitions whose canonicalizations follow the quotient cycle. Each lap
@@ -239,15 +190,15 @@ void build_quotient_graph(const RingInstance& ring, Quotient& q,
 /// position 0) pairs must repeat within ord(rotation) ≤ K laps, and the
 /// segment between the repeats is a real cycle, entirely outside I.
 std::vector<GlobalStateId> lift_quotient_cycle(
-    const RingInstance& ring, const Quotient& q,
-    const std::vector<std::uint32_t>& cycle) {
+    const RingInstance& ring, const std::vector<GlobalStateId>& ids,
+    const std::vector<std::uint64_t>& cycle) {
   const std::size_t k = ring.ring_size();
   const std::span<const GlobalStateId> pow{ring.powers()};
   std::vector<GlobalStateId> path;
   std::unordered_map<GlobalStateId, std::size_t> seen_at_start;
   std::vector<RingInstance::Step> succ;
   std::vector<Value> digits;
-  GlobalStateId x = q.ids[cycle[0]];
+  GlobalStateId x = ids[cycle[0]];
   for (std::size_t lap = 0; lap <= k; ++lap) {
     const auto [it, fresh] = seen_at_start.emplace(x, path.size());
     if (!fresh) {
@@ -258,7 +209,7 @@ std::vector<GlobalStateId> lift_quotient_cycle(
     }
     for (std::size_t i = 0; i < cycle.size(); ++i) {
       path.push_back(x);
-      const GlobalStateId want = q.ids[cycle[(i + 1) % cycle.size()]];
+      const GlobalStateId want = ids[cycle[(i + 1) % cycle.size()]];
       ring.successors(x, succ);
       bool stepped = false;
       for (const auto& step : succ) {
@@ -313,23 +264,24 @@ SymmetricCheckResult check_symmetric(const RingInstance& ring,
   res.num_deadlocks_outside_i = build.census.num_deadlocks_outside_i;
   res.deadlock_orbit_reps = std::move(build.census.deadlock_orbit_reps);
 
-  Quotient q;
-  q.ids = std::move(build.ids);
-  q.flags = std::move(build.flags);
-  RINGSTAB_ASSERT(q.ids.size() < kUnvisited,
-                  "quotient too large for 32-bit ranks");
-  build_quotient_graph(ring, q, num_threads);
-  res.closure_ok = !q.escape;
-  res.closure_violation = q.escape;
+  NotInvGraph g;
+  {
+    const obs::Span graph_span("symmetry.quotient_graph");
+    g = build_not_inv_graph(QuotientSpace{ring, build.ids}, build.inv,
+                            num_threads);
+  }
+  obs::counter("symmetry.quotient_edges").add(g.csr.num_edges());
+  res.closure_ok = !g.closure_violation;
+  res.closure_violation = g.closure_violation;
 
-  const VerdictTail tail = verdict_tail(q.csr, q.to_inv, num_threads);
+  const VerdictTail tail = verdict_tail(g.csr, g.to_inv, num_threads);
   res.weakly_converges = tail.weakly_converges;
   if (!tail.witness.empty()) {
-    std::vector<std::uint32_t> cycle;
+    std::vector<std::uint64_t> cycle;
     cycle.reserve(tail.witness.size());
-    for (const std::uint32_t r : tail.witness) cycle.push_back(q.ni_of[r]);
+    for (const std::uint32_t r : tail.witness) cycle.push_back(g.ids[r]);
     res.has_livelock = true;
-    res.livelock_cycle = lift_quotient_cycle(ring, q, cycle);
+    res.livelock_cycle = lift_quotient_cycle(ring, build.ids, cycle);
   }
   if (res.strongly_converges()) res.max_recovery_steps = tail.levels;
   return res;

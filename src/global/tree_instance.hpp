@@ -7,62 +7,36 @@
 // ground truth used to validate that reduction.
 #pragma once
 
-#include <span>
-#include <string>
 #include <vector>
 
 #include "global/array_instance.hpp"
-#include "local/array.hpp"
 
 namespace ringstab {
 
 /// A rooted in-tree of n processes running an array-convention protocol
 /// (domain's last value = ⊥). Node 0 is the root (its window's parent slot
 /// is ⊥); parent[i] < i for every other node. The locality must be
-/// {left=1, right=0}.
-class TreeInstance {
+/// {left=1, right=0}, so node i reads {parent(i), i}.
+class TreeInstance : public WindowInstance {
  public:
   TreeInstance(Protocol protocol, std::vector<std::size_t> parent,
                GlobalStateId max_states = GlobalStateId{1} << 22);
 
-  const Protocol& protocol() const { return protocol_; }
-  std::size_t size() const { return parent_.size() + 1; }
-  GlobalStateId num_states() const { return num_states_; }
-
-  Value value(GlobalStateId s, std::size_t i) const {
-    return static_cast<Value>((s / pow_[i]) % real_d_);
-  }
-  std::vector<Value> decode(GlobalStateId s) const;
-  GlobalStateId encode(std::span<const Value> values) const;
+  std::size_t size() const { return num_processes(); }
 
   /// Parent of node i (i ≥ 1).
   std::size_t parent(std::size_t i) const { return parent_[i - 1]; }
 
-  LocalStateId local_state(GlobalStateId s, std::size_t i) const;
-  bool in_invariant(GlobalStateId s) const;
-  bool is_deadlock(GlobalStateId s) const;
-
-  struct Step {
-    GlobalStateId target = 0;
-    std::size_t process = 0;
-    LocalTransition transition;
-  };
-  void successors(GlobalStateId s, std::vector<Step>& out) const;
-
-  std::string brief(GlobalStateId s) const;
-
  private:
-  Protocol protocol_;
   std::vector<std::size_t> parent_;  // parent_[i-1] = parent of node i
-  std::size_t real_d_;
-  GlobalStateId num_states_;
-  std::vector<GlobalStateId> pow_;
 };
 
 using TreeCheckResult = ArrayCheckResult;
 
 /// Exhaustive check (check_explicit; capped state space).
-TreeCheckResult check_tree(const TreeInstance& inst);
+inline TreeCheckResult check_tree(const TreeInstance& inst) {
+  return check_explicit(inst);
+}
 
 /// A uniformly random in-tree shape on n nodes (each node's parent drawn
 /// from its predecessors).

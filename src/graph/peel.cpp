@@ -12,6 +12,26 @@ namespace {
 
 constexpr std::uint32_t kNone = 0xffffffffu;
 
+/// One level-synchronous frontier step: `expand(v, next)` runs for every
+/// frontier vertex, chunked over the pool, and the per-chunk `next` lists
+/// are concatenated in chunk order.
+template <class Expand>
+std::vector<std::uint32_t> next_frontier(
+    const std::vector<std::uint32_t>& frontier, std::size_t num_threads,
+    const Expand& expand) {
+  std::vector<std::vector<std::uint32_t>> parts(
+      num_chunks(frontier.size(), 0));
+  parallel_for(frontier.size(), num_threads, 0,
+               [&](const ChunkRange& chunk, std::size_t) {
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i)
+      expand(frontier[i], parts[chunk.index]);
+  });
+  std::vector<std::uint32_t> next;
+  for (const auto& part : parts)
+    next.insert(next.end(), part.begin(), part.end());
+  return next;
+}
+
 /// The vertices of [0, n) satisfying `pred`, ascending (per-chunk lists
 /// merged in chunk order).
 template <class Pred>
@@ -63,8 +83,8 @@ bool residue_reaches_inv(const CsrGraph& g, const CsrGraph& tr,
   return count == residue;
 }
 
-}  // namespace
-
+/// Arc-reversed copy of `g`. In-edge order within a row follows the
+/// schedule; the tail uses the transpose as a set.
 CsrGraph transpose(const CsrGraph& g, std::size_t num_threads) {
   const std::uint32_t n = g.num_vertices();
   std::vector<std::uint64_t> cursor(n, 0);  // in-degrees, then offsets
@@ -90,6 +110,18 @@ CsrGraph transpose(const CsrGraph& g, std::size_t num_threads) {
   return tr;
 }
 
+struct PeelResult {
+  PackedBitset peeled;
+  std::uint64_t num_peeled = 0;
+  std::uint32_t levels = 0;  // frontier rounds; 0 iff nothing peeled
+};
+
+/// Level-synchronous out-degree peel: `degree[v]` is v's out-degree and
+/// `reverse` the transpose, so peeling v decrements its predecessors. A
+/// self-edge decrements its vertex only once that vertex is peeled, so a
+/// self-looped vertex stays. The peeled set and the level count are the
+/// unique fixpoint, identical for every thread count; frontier decrements
+/// are atomic and each level's next frontier is merged in chunk order.
 PeelResult peel(const CsrGraph& reverse, std::vector<std::uint32_t> degree,
                 std::size_t num_threads) {
   PeelResult res;
@@ -114,6 +146,8 @@ PeelResult peel(const CsrGraph& reverse, std::vector<std::uint32_t> degree,
   }
   return res;
 }
+
+}  // namespace
 
 VerdictTail verdict_tail(const CsrGraph& g, const PackedBitset& to_inv,
                          std::size_t num_threads) {

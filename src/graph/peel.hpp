@@ -2,9 +2,12 @@
 // rotation quotient, array, tree), and the level-synchronous degree peel it
 // is built on.
 //
-// Every engine reduces its instance to the same two objects: a CSR over the
-// states outside I (edges into I dropped) and a bitset of the states that
-// step into I in one move. Strong convergence is closure + no deadlock
+// Every engine reaches it through the one census → ¬I CSR build
+// (global/state_space.hpp), which hands it the same two objects: a CSR over
+// the states outside I (edges into I dropped) and a bitset of the states
+// that step into I in one move. Arrays and trees build with nothing
+// projected out, so their CSR is the whole graph and the tail's peel
+// decides termination. Strong convergence is closure + no deadlock
 // outside I + no cycle outside I (Proposition 2.1), and the recovery bound
 // is the longest path to I. One out-degree peel over that CSR answers all
 // of it:
@@ -26,51 +29,8 @@
 
 #include "graph/scc.hpp"
 #include "parallel/bitset.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace ringstab {
-
-/// Arc-reversed copy of `g`. In-edge order within a row follows the
-/// schedule; every consumer here uses the transpose as a set.
-CsrGraph transpose(const CsrGraph& g, std::size_t num_threads);
-
-/// One level-synchronous frontier step: `expand(v, next)` runs for every
-/// frontier vertex, chunked over the pool, and the per-chunk `next` lists
-/// are concatenated in chunk order.
-template <class Expand>
-std::vector<std::uint32_t> next_frontier(
-    const std::vector<std::uint32_t>& frontier, std::size_t num_threads,
-    const Expand& expand) {
-  std::vector<std::vector<std::uint32_t>> parts(
-      num_chunks(frontier.size(), 0));
-  parallel_for(frontier.size(), num_threads, 0,
-               [&](const ChunkRange& chunk, std::size_t) {
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i)
-      expand(frontier[i], parts[chunk.index]);
-  });
-  std::vector<std::uint32_t> next;
-  for (const auto& part : parts)
-    next.insert(next.end(), part.begin(), part.end());
-  return next;
-}
-
-struct PeelResult {
-  PackedBitset peeled;
-  std::uint64_t num_peeled = 0;
-  std::uint32_t levels = 0;  // frontier rounds; 0 iff nothing peeled
-};
-
-/// Level-synchronous degree peel. `degree[v]` is v's count of live edges in
-/// the peeled direction and `reverse` lists, per vertex v, the vertices whose
-/// count drops when v is peeled (the transpose for an out-degree peel, the
-/// graph itself for an in-degree peel). A self-edge decrements its vertex
-/// only once that vertex is peeled (a peeled vertex's count is never read
-/// again), so the caller decides whether a self-loop keeps its vertex:
-/// count it in `degree` or not. The peeled set and the level count are the
-/// unique fixpoint, identical for every thread count; frontier decrements
-/// are atomic and each level's next frontier is merged in chunk order.
-PeelResult peel(const CsrGraph& reverse, std::vector<std::uint32_t> degree,
-                std::size_t num_threads);
 
 /// Everything the ¬I tail decides, over the vertex ids of its input CSR.
 struct VerdictTail {

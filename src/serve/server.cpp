@@ -20,11 +20,13 @@ namespace {
   throw ModelError(what + ": " + std::strerror(errno));
 }
 
-/// Writes all of `data` to `fd`, retrying on EINTR / short writes.
+/// Writes all of `data` to socket `fd`, retrying on EINTR / short writes.
+/// A peer that has hung up fails the write instead of raising SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -34,30 +36,41 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
+/// Longest request line the daemon buffers, newline excluded. A request
+/// carries one escaped .ring source, and the shipped ones are a few KB at
+/// most; a client that sends more without a newline is refused rather than
+/// left to grow the daemon's memory.
+constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
 /// Buffered line reader over a blocking fd. A request line can be large
-/// (it carries the whole .ring source, escaped) so the buffer grows as
-/// needed; read_line returns false on EOF / error with no complete line.
+/// (it carries the whole .ring source, escaped), so the buffer grows as
+/// needed up to kMaxRequestLine.
 class LineReader {
  public:
+  enum class Status { kLine, kClosed, kTooLong };
+
   explicit LineReader(int fd) : fd_(fd) {}
 
-  bool read_line(std::string& line) {
+  /// kClosed on EOF / error with no complete line.
+  Status read_line(std::string& line) {
     for (;;) {
       const std::size_t nl = buf_.find('\n', scan_);
       if (nl != std::string::npos) {
+        if (nl > kMaxRequestLine) return Status::kTooLong;
         line.assign(buf_, 0, nl);
         buf_.erase(0, nl + 1);
         scan_ = 0;
-        return true;
+        return Status::kLine;
       }
+      if (buf_.size() > kMaxRequestLine) return Status::kTooLong;
       scan_ = buf_.size();
       char chunk[4096];
       const ssize_t n = ::read(fd_, chunk, sizeof chunk);
       if (n < 0) {
         if (errno == EINTR) continue;
-        return false;
+        return Status::kClosed;
       }
-      if (n == 0) return false;  // EOF (or SHUT_RD during drain)
+      if (n == 0) return Status::kClosed;  // EOF (or SHUT_RD during drain)
       buf_.append(chunk, static_cast<std::size_t>(n));
     }
   }
@@ -143,7 +156,18 @@ void Server::accept_loop() {
 void Server::serve_connection(Connection* conn) {
   LineReader reader(conn->fd);
   std::string line;
-  while (reader.read_line(line)) {
+  for (;;) {
+    const LineReader::Status status = reader.read_line(line);
+    if (status == LineReader::Status::kClosed) break;
+    if (status == LineReader::Status::kTooLong) {
+      // Answer, then drop the connection: the rest of the line is unread.
+      Response refused;
+      refused.error = "request line too long (over " +
+                      std::to_string(kMaxRequestLine) + " bytes)";
+      write_all(conn->fd, encode_response(refused) + "\n");
+      obs::counter("serve.refused").add(1);
+      break;
+    }
     if (line.empty()) continue;  // blank keep-alive lines are fine
     const Response resp = dispatch(line);
     if (!write_all(conn->fd, encode_response(resp) + "\n")) break;

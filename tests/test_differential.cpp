@@ -1,11 +1,13 @@
-// Differential test: every source of a global verdict — GlobalChecker at 1
-// and 4 lanes, the rotation quotient, and the array and tree checks — is
+// Differential test: every source of a global verdict — GlobalChecker and
+// the rotation quotient at 1 and 4 lanes, and the array and tree checks — is
 // compared against the brute-force oracle (tests/oracle.hpp) over the
 // protocol zoo, seeded random rings, arrays and random tree shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,64 @@ void expect_real_cycle(const RingInstance& ring,
   }
 }
 
+/// The canonical necklace id of s: its smallest rotation, by brute force.
+GlobalStateId min_rotation(const RingInstance& ring, GlobalStateId s) {
+  std::vector<Value> digits = ring.decode(s);
+  GlobalStateId best = s;
+  for (std::size_t r = 1; r < digits.size(); ++r) {
+    std::rotate(digits.begin(), digits.begin() + 1, digits.end());
+    best = std::min(best, ring.encode(digits));
+  }
+  return best;
+}
+
+/// The smallest necklace id whose states are in I and have a move leaving I
+/// (none if I is closed).
+std::optional<GlobalStateId> smallest_escaping_necklace(
+    const RingInstance& ring) {
+  std::optional<GlobalStateId> best;
+  std::vector<RingInstance::Step> succ;
+  for (GlobalStateId s = 0; s < ring.num_states(); ++s) {
+    if (!ring.in_invariant(s)) continue;
+    ring.successors(s, succ);
+    if (std::none_of(succ.begin(), succ.end(), [&](const auto& st) {
+          return !ring.in_invariant(st.target);
+        }))
+      continue;
+    const GlobalStateId id = min_rotation(ring, s);
+    if (!best || id < *best) best = id;
+  }
+  return best;
+}
+
+/// The first 8 necklace ids of the deadlocks outside I, ascending.
+std::vector<GlobalStateId> deadlock_necklaces(const RingInstance& ring) {
+  std::set<GlobalStateId> ids;
+  for (GlobalStateId s = 0; s < ring.num_states(); ++s)
+    if (!ring.in_invariant(s) && ring.is_deadlock(s))
+      ids.insert(min_rotation(ring, s));
+  std::vector<GlobalStateId> out(ids.begin(), ids.end());
+  if (out.size() > 8) out.resize(8);
+  return out;
+}
+
+void expect_same(const SymmetricCheckResult& got,
+                 const SymmetricCheckResult& want, const std::string& at) {
+  EXPECT_EQ(got.ring_size, want.ring_size) << at;
+  EXPECT_EQ(got.num_states, want.num_states) << at;
+  EXPECT_EQ(got.num_necklaces, want.num_necklaces) << at;
+  EXPECT_EQ(got.num_deadlocks_outside_i, want.num_deadlocks_outside_i) << at;
+  EXPECT_EQ(got.deadlock_orbit_reps, want.deadlock_orbit_reps) << at;
+  EXPECT_EQ(got.has_livelock, want.has_livelock) << at;
+  EXPECT_EQ(got.livelock_cycle, want.livelock_cycle) << at;
+  EXPECT_EQ(got.closure_ok, want.closure_ok) << at;
+  EXPECT_EQ(got.closure_violation, want.closure_violation) << at;
+  EXPECT_EQ(got.weakly_converges, want.weakly_converges) << at;
+  EXPECT_EQ(got.max_recovery_steps, want.max_recovery_steps) << at;
+  EXPECT_EQ(got.canonical_states_visited, want.canonical_states_visited)
+      << at;
+}
+
 void check_ring(const Protocol& p, std::size_t k) {
   const RingInstance ring(p, k);
   const OracleVerdict want = oracle(ring);
@@ -70,11 +130,20 @@ void check_ring(const Protocol& p, std::size_t k) {
       EXPECT_THROW(checker.max_recovery_steps(), ModelError) << at;
   }
 
-  const SymmetricCheckResult sym = check_symmetric(ring, 8, 2);
+  const SymmetricCheckResult sym = check_symmetric(ring, 8, 1);
+  expect_same(check_symmetric(ring, 8, 4), sym, where + " quotient lanes=4");
   EXPECT_EQ(sym.num_deadlocks_outside_i, want.deadlocks) << where;
+  EXPECT_EQ(sym.deadlock_orbit_reps, deadlock_necklaces(ring)) << where;
   EXPECT_EQ(sym.closure_ok, !want.closure_violation) << where;
   if (sym.closure_violation) {
-    EXPECT_TRUE(ring.in_invariant(sym.closure_violation->first)) << where;
+    // The smallest escaping necklace, reported as one of its actual moves.
+    EXPECT_EQ(sym.closure_violation->first, smallest_escaping_necklace(ring))
+        << where;
+    std::vector<RingInstance::Step> succ;
+    ring.successors(sym.closure_violation->first, succ);
+    EXPECT_TRUE(std::any_of(succ.begin(), succ.end(), [&](const auto& st) {
+      return st.target == sym.closure_violation->second;
+    })) << where;
     EXPECT_FALSE(ring.in_invariant(sym.closure_violation->second)) << where;
   }
   EXPECT_EQ(sym.has_livelock, !want.livelock_states.empty()) << where;

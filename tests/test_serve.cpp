@@ -8,9 +8,13 @@
 // failures surfacing through Session::finish(), and the
 // `"interrupted": true` manifest stamp.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -474,6 +478,96 @@ TEST(ServeServer, MalformedRequestGetsAnErrorResponseNotADisconnect) {
     EXPECT_TRUE(next.ok) << next.error;
   }
   server.stop();
+}
+
+TEST(ServeServer, OversizedLineIsRefusedAndOthersAreStillServed) {
+  obs::Registry::global().reset_counters();
+  obs::g_enabled.store(true);
+  ServerOptions opts;
+  opts.socket_path = socket_path("oversized");
+  Server server(opts);
+  server.start();
+  {
+    // A raw client: 1 MiB + 1 bytes and no newline, all of which the daemon
+    // reads before it gives up on the line.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts.socket_path.c_str(),
+                 sizeof addr.sun_path - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    const timeval timeout{10, 0};  // a daemon that never answers fails
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+    const std::string flood((std::size_t{1} << 20) + 1, 'x');
+    for (std::size_t off = 0; off < flood.size();) {
+      const ssize_t n = ::send(fd, flood.data() + off, flood.size() - off,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      off += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;)
+      reply.append(buf, static_cast<std::size_t>(n));  // until the close
+    ::close(fd);
+    ASSERT_FALSE(reply.empty());
+    ASSERT_EQ(reply.back(), '\n');
+    const Response resp = decode_response(reply.substr(0, reply.size() - 1));
+    EXPECT_FALSE(resp.ok);
+    EXPECT_NE(resp.error.find("request line too long"), std::string::npos)
+        << resp.error;
+  }
+  {
+    Client client(opts.socket_path);
+    Request req;
+    req.cmd = "lint";
+    req.source = "protocol p { }";
+    const Response resp = client.request(req);
+    EXPECT_TRUE(resp.ok) << resp.error;
+  }
+  server.stop();
+  EXPECT_EQ(obs::counter("serve.refused").total(), 1u);
+  EXPECT_EQ(server.stats().requests, 1u);
+  obs::g_enabled.store(false);
+  obs::Registry::global().reset_counters();
+}
+
+TEST(ServeServer, ClientHangingUpBeforeItsAnswerLeavesTheDaemonUp) {
+  ServerOptions opts;
+  opts.socket_path = socket_path("hangup");
+  Server server(opts);
+  server.start();
+  {
+    // Send a check that takes a while and hang up at once: the daemon's
+    // answer then goes to a closed socket, which must fail the write, not
+    // raise SIGPIPE in the daemon's process.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts.socket_path.c_str(),
+                 sizeof addr.sun_path - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    Request req;
+    req.cmd = "check";
+    req.source = slurp(std::filesystem::path(RINGSTAB_RINGS) /
+                       "sum_not_two_ss.ring");
+    req.k = 12;
+    const std::string line = encode_request(req) + "\n";
+    ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(line.size()));
+    ::close(fd);
+  }
+  Client client(opts.socket_path);
+  EXPECT_NO_THROW(client.stats());
+  server.stop();  // joins the hung-up connection after its failed write
 }
 
 TEST(ServeServer, BindRefusesAnOccupiedPath) {
